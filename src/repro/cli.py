@@ -79,11 +79,18 @@ edges, reconstructs both runs' critical paths, and prints the
 per-node/per-source attribution table plus the quiet-vs-noisy diff —
 "who stole the makespan" (E16 validates the attribution against
 planted ground truth).
+
+Exit status: ``0`` success; ``1`` findings (``lint``) or a failed
+experiment; ``2`` a clean one-line ``error:`` (bad configuration,
+unreachable server); ``141`` (128 + SIGPIPE, as a shell tool killed by
+the signal reports) when the reader of stdout goes away early, e.g.
+``repro list | head -1`` — the command stops quietly, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import typing as _t
 
@@ -95,7 +102,10 @@ from .harness import experiment_ids, render_markdown, render_summary
 from .harness import run_all as harness_run_all
 from .harness import run_experiment as harness_run_experiment
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE"]
+
+#: Exit status when stdout's reader closes the pipe early.
+EXIT_BROKEN_PIPE = 128 + 13
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,22 +557,33 @@ def _cmd_serve(args: argparse.Namespace, out: _t.TextIO) -> int:
         _oplog.configure(path=args.log_json)
         out.write(f"logging JSON events to {args.log_json}\n")
 
-    def _terminate(signum: int, frame: _t.Any) -> None:
-        # Graceful shutdown on SIGTERM too: non-interactive shells
-        # start background jobs with SIGINT ignored (POSIX), so a CI
-        # step's plain `kill` must also take the metrics-dump path.
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
+    # Graceful shutdown on SIGTERM too: non-interactive shells start
+    # background jobs with SIGINT ignored (POSIX), so a CI step's plain
+    # `kill` must also take the metrics-dump path.  The event loop owns
+    # the signal (a handler raising from an arbitrary frame loses the
+    # signal whenever that frame is an object finaliser); until the
+    # loop runs, a plain handler only records the request.
+    early_stop: list[int] = []
+    signal.signal(signal.SIGTERM, lambda signum, frame: early_stop.append(signum))
 
     async def _main() -> None:
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
+        if early_stop:
+            stop.set()
         srv = await server.start(args.host, args.port)
         addr = srv.sockets[0].getsockname()
         out.write(f"serving on http://{addr[0]}:{addr[1]} "
                   f"(workers={server.executor.workers}, "
                   f"cache={args.cache or 'off'})\n")
-        async with srv:
-            await srv.serve_forever()
+        try:
+            await stop.wait()
+        finally:
+            # Not `async with srv`: Server.wait_closed() waits for open
+            # client connections on newer Pythons; asyncio.run cancels
+            # their handlers on the way out instead.
+            srv.close()
+        out.write("shutting down\n")
 
     try:
         asyncio.run(_main())
@@ -688,7 +709,24 @@ def main(argv: _t.Sequence[str] | None = None,
          out: _t.TextIO | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    try:
+        try:
+            return _dispatch(build_parser().parse_args(argv), out)
+        finally:
+            out.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # The reader went away (`repro list | head -1`).  Point stdout
+        # at /dev/null so the interpreter's final flush stays quiet.
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):
+            pass
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(args: argparse.Namespace, out: _t.TextIO) -> int:
     try:
         if args.command == "list":
             return _cmd_list(out)

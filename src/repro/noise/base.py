@@ -11,9 +11,22 @@ The contract has two views of the same stream:
   the ktau observer, which records every occurrence.
 * **aggregate view** — :meth:`NoiseSource.stolen_between` gives the
   total CPU time stolen in a window, and :meth:`NoiseSource.wall_time`
-  solves the fixed point *T = W + stolen(t, t+T)* to produce the wall
-  clock time a compute phase of ``W`` ns of work takes when started at
-  ``t``.  Used by sampled-fidelity simulation for scaling studies.
+  gives the wall clock time a compute phase of ``W`` ns of work takes
+  when started at ``t``: the least ``T`` with
+  ``T - stolen(t, t+T) == W``.  Used by sampled-fidelity simulation for
+  scaling studies.
+
+The aggregate view is answered from the *idle clock*
+``idle(x) = x - busy(x)``, which never decreases and rises by at most
+1 ns per ns, so ``wall_time`` is an exact inverse: the least ``x`` with
+``idle(x) = idle(t) + W``.  Sources without a closed form share one
+**busy-time index** over aligned ``2**20`` ns chunks of time.  Each
+chunk holds the merged intervals of :meth:`NoiseSource.busy_intervals`
+with their prefix busy sums and the idle clock at every interval start;
+a bounded LRU keeps the most recent chunks.  ``stolen_between`` is then
+two bisections and ``wall_time`` a walk over chunks plus one bisection
+of the idle array.  :class:`~repro.noise.PeriodicNoise` inverts its
+idle clock in O(1) instead.
 
 Both views are **pure functions of the window** (randomized sources
 freeze their randomness per time chunk), so the two fidelity modes are
@@ -24,16 +37,40 @@ from __future__ import annotations
 
 import typing as _t
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 
 __all__ = ["NoiseEvent", "NoiseSource", "NullNoise", "merge_busy_time",
            "merged_intervals", "merge_interval_lists"]
 
-#: Safety valve for the wall-time fixed point (utilization < 1 means
-#: convergence in far fewer steps; hitting this indicates a model bug).
-_MAX_FIXED_POINT_ITERS = 10_000
+#: log2 of the busy-time index chunk width (ns): 2**20 ns ~ 1 ms.
+_CHUNK_SHIFT = 20
+_CHUNK_NS = 1 << _CHUNK_SHIFT
+#: Index chunks each source keeps (least recently used dropped first).
+_INDEX_CHUNKS = 64
+
+
+class _Chunk(_t.NamedTuple):
+    """Busy-time index of one aligned chunk ``[origin, origin + _CHUNK_NS)``."""
+
+    #: Merged busy intervals, clipped to the chunk (parallel lists).
+    starts: list[int]
+    ends: list[int]
+    #: ``busy[i]`` = busy ns before ``starts[i]``; ``busy[-1]`` is the total.
+    busy: list[int]
+    #: Idle ns between the chunk origin and ``starts[i]``.
+    idle: list[int]
+
+    def busy_before(self, x: int) -> int:
+        """Busy ns between the chunk origin and ``x`` (inside the chunk)."""
+        i = bisect_right(self.starts, x)
+        if i == 0:
+            return 0
+        tail = self.ends[i - 1] - x
+        return self.busy[i] - tail if tail > 0 else self.busy[i]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,14 +156,17 @@ class NoiseSource(ABC):
 
     Subclasses must implement :meth:`events_in`,
     :meth:`max_event_duration`, and :attr:`utilization`; the aggregate
-    view is derived (subclasses may override ``stolen_between`` with a
-    closed form for speed — :class:`repro.noise.PeriodicNoise` does).
+    view is derived from the busy-time index (subclasses may override
+    ``stolen_between`` or ``_wall_time`` with a closed form —
+    :class:`repro.noise.PeriodicNoise` overrides both).
     """
 
     def __init__(self, name: str) -> None:
         if not name:
             raise ConfigError("noise source needs a non-empty name")
         self.name = name
+        # Per-instance memo of the busy-time index (dies with the instance).
+        self._index = lru_cache(maxsize=_INDEX_CHUNKS)(self._build_index_chunk)
 
     # -- event view --------------------------------------------------------
     @abstractmethod
@@ -168,60 +208,75 @@ class NoiseSource(ABC):
         widened = start - self.max_event_duration()
         return merged_intervals(self.events_in(widened, end), start, end)
 
+    def _build_index_chunk(self, index: int) -> _Chunk:
+        origin = index << _CHUNK_SHIFT
+        starts: list[int] = []
+        ends: list[int] = []
+        busy = [0]
+        idle: list[int] = []
+        total = 0
+        for lo, hi in self.busy_intervals(origin, origin + _CHUNK_NS):
+            starts.append(lo)
+            ends.append(hi)
+            idle.append(lo - origin - total)
+            total += hi - lo
+            busy.append(total)
+        return _Chunk(starts, ends, busy, idle)
+
     def stolen_between(self, start: int, end: int) -> int:
         """Total CPU ns stolen in ``[start, end)``.
 
         Includes the tail of events that started before ``start`` but
         are still running at ``start``.
         """
-        return sum(hi - lo for lo, hi in self.busy_intervals(start, end))
+        if end <= start:
+            return 0
+        first = start >> _CHUNK_SHIFT
+        last = (end - 1) >> _CHUNK_SHIFT
+        chunk = self._index(first)
+        if first == last:
+            return chunk.busy_before(end) - chunk.busy_before(start)
+        total = chunk.busy[-1] - chunk.busy_before(start)
+        for index in range(first + 1, last):
+            total += self._index(index).busy[-1]
+        return total + self._index(last).busy_before(end)
 
     def wall_time(self, start: int, work: int) -> int:
         """Wall-clock ns for ``work`` ns of CPU work begun at ``start``.
 
-        Solves the smallest ``T >= work`` with
-        ``T - stolen_between(start, start + T) == work`` by monotone
-        fixed-point iteration (exact with integer time; converges
-        because utilization < 1).
+        The least ``T`` with ``T - stolen_between(start, start + T) ==
+        work``.
         """
         if work < 0:
             raise ValueError(f"work must be >= 0 ns, got {work}")
         if work == 0:
             # Zero work needs no CPU, so nothing can be stolen from it.
             return 0
-        # Fast path: direct iteration converges in a couple of steps when
-        # the window contains only short events.
-        t = work
-        for _ in range(8):
-            stolen = self.stolen_between(start, start + t)
-            new_t = work + stolen
-            if new_t == t:
-                return t
-            if new_t < t:  # pragma: no cover - monotonicity guard
-                raise SimulationError(f"noise fixed point regressed: {t} -> {new_t}")
-            t = new_t
-        # Slow path: the window start sits inside (or keeps hitting) long
-        # events, so direct iteration advances by ~`work` per step.  The
-        # idle time  idle(T) = T - stolen(start, start+T)  is monotone and
-        # advances by at most 1 ns per ns, so the exact fixed point is the
-        # minimal T with idle(T) == work: find it by doubling + bisection.
-        hi = t
-        for _ in range(_MAX_FIXED_POINT_ITERS):
-            if hi - self.stolen_between(start, start + hi) >= work:
+        return self._wall_time(start, work)
+
+    def _wall_time(self, start: int, work: int) -> int:
+        """:meth:`wall_time` for ``work > 0`` from the busy-time index:
+        walk chunks until the idle clock has advanced by ``work``, then
+        invert it inside the last chunk.  Closed forms override this."""
+        index = start >> _CHUNK_SHIFT
+        origin = index << _CHUNK_SHIFT
+        chunk = self._index(index)
+        # Idle ns still to pass, counted from the chunk origin.
+        target = start - origin - chunk.busy_before(start) + work
+        while True:
+            chunk_idle = _CHUNK_NS - chunk.busy[-1]
+            if target <= chunk_idle:
                 break
-            hi *= 2
-        else:  # pragma: no cover - would need utilization >= 1
-            raise SimulationError(
-                f"noise wall_time did not converge (source={self.name!r}, "
-                f"utilization={self.utilization:.3f})")
-        lo = work  # idle(work) <= work with equality only if already done
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid - self.stolen_between(start, start + mid) >= work:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+            target -= chunk_idle
+            index += 1
+            origin += _CHUNK_NS
+            chunk = self._index(index)
+        # The first busy interval whose start the idle clock reaches at
+        # `target` or later; the answer lies in the gap before it.
+        i = bisect_left(chunk.idle, target)
+        if i == 0:
+            return origin + target - start
+        return chunk.ends[i - 1] + target - chunk.idle[i - 1] - start
 
     # -- introspection -------------------------------------------------------
     def describe(self) -> dict[str, object]:

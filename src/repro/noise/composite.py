@@ -71,9 +71,6 @@ class CompositeNoise(NoiseSource):
         return merge_interval_lists(
             [src.busy_intervals(start, end) for src in self.sources])
 
-    def stolen_between(self, start: int, end: int) -> int:
-        return sum(hi - lo for lo, hi in self.busy_intervals(start, end))
-
     def describe(self) -> dict[str, object]:
         d = super().describe()
         d["sources"] = [src.describe() for src in self.sources]

@@ -133,6 +133,20 @@ class PeriodicNoise(NoiseSource):
             total += min(prev_end, end) - start
         return total
 
+    def _wall_time(self, start: int, work: int) -> int:
+        """Exact wall time in O(1) by inverting the idle clock.
+
+        Counted from ``phase``, the idle clock at ``phase + k*period +
+        r`` is ``k*(period - duration) + max(r - duration, 0)``; the
+        end is the least instant where it has advanced by ``work``.
+        """
+        period, duration, phase = self.period, self.duration, self.phase
+        gap = period - duration
+        k, r = divmod(start - phase, period)
+        k, rem = divmod(k * gap + max(r - duration, 0) + work, gap)
+        end = phase + k * period + (duration + rem if rem else 0)
+        return end - start
+
     def describe(self) -> dict[str, object]:
         d = super().describe()
         d.update(period_ns=self.period, duration_ns=self.duration,

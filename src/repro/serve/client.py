@@ -105,23 +105,30 @@ class ServeClient:
                 doc = json.loads(resp.read().decode() or "{}")
                 raise ServeError(f"job rejected ({resp.status}): "
                                  f"{doc.get('error', doc)}")
+            cut = ("server closed the stream before the terminal "
+                   "'stats' event; partial results discarded")
+            streamed = False
             while True:
                 try:
                     line = resp.readline()
                 except (http.client.HTTPException, ConnectionError,
                         OSError) as exc:
+                    # Once events have streamed, a reset and an orderly
+                    # close are the same failure: the job was cut short.
+                    # Which one the client sees is a race in the kernel.
+                    if streamed:
+                        raise ServeError(f"{cut} ({exc})") from exc
                     raise ServeError(
                         f"connection lost mid-stream: {exc}") from exc
                 if not line:
-                    raise ServeError(
-                        "server closed the stream before the terminal "
-                        "'stats' event; partial results discarded")
+                    raise ServeError(cut)
                 try:
                     event = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ServeError(
                         "server closed mid-line (partial NDJSON: "
                         f"{line[:80]!r})") from exc
+                streamed = True
                 yield event
                 if event.get("event") == "stats":
                     break

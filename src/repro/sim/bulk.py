@@ -17,8 +17,8 @@ of int64 scalars:
 list* (the collective's dependency structure, built by
 :mod:`repro.mpi.collectives.bulk`), replaying exactly the arithmetic
 of the generator path — LogGP costs, NIC serialization, per-channel
-FIFO bumps, the in-frame resume rule, and the noise wall-time fixed
-point — so results are **byte-identical** to the per-rank simulation
+FIFO bumps, the in-frame resume rule, and the noise wall-time
+inverse — so results are **byte-identical** to the per-rank simulation
 wherever both run.  The equivalence tests enforce this; any change to
 the message timeline in :mod:`repro.net` or :mod:`repro.mpi` must be
 mirrored here.
@@ -164,11 +164,9 @@ class _BulkNoise:
 
     ``period == 0`` models the quiet machine (every node NullNoise);
     otherwise node ``i`` runs ``PeriodicNoise(period, duration,
-    phase=phases[i])``.  :meth:`wall` reproduces
-    :meth:`repro.noise.NoiseSource.wall_time` exactly: the same
-    8-step fixed-point iteration, with the rare unconverged lanes
-    delegated to the scalar implementation (which finishes with
-    doubling + bisection).
+    phase=phases[i])``.  :meth:`wall` is
+    :meth:`repro.noise.PeriodicNoise.wall_time`'s closed-form inverse of
+    the idle clock, element for element.
     """
 
     def __init__(self, period: int, duration: int,
@@ -176,23 +174,6 @@ class _BulkNoise:
         self.period = int(period)
         self.duration = int(duration)
         self.phases = phases
-
-    def _stolen(self, phase: np.ndarray, start: np.ndarray,
-                end: np.ndarray) -> np.ndarray:
-        # PeriodicNoise.stolen_between's closed form, vectorized.
-        # int64 floor division matches Python's for negative operands,
-        # so every intermediate is bit-equal to the scalar path.
-        period, duration = self.period, self.duration
-        k_lo = -((phase - start) // period)
-        k_hi = -((phase - end) // period) - 1
-        n = k_hi - k_lo + 1
-        last_start = phase + k_hi * period
-        body = (n - 1) * duration + np.minimum(duration, end - last_start)
-        total = np.where(n >= 1, body, 0)
-        prev_end = phase + (k_lo - 1) * period + duration
-        head = np.where(prev_end > start,
-                        np.minimum(prev_end, end) - start, 0)
-        return total + head
 
     def wall_cached(self, start: np.ndarray, work: int,
                     lanes: np.ndarray, cache: dict) -> np.ndarray:
@@ -223,35 +204,15 @@ class _BulkNoise:
         starting at ``start`` (parallel arrays)."""
         if work == 0 or self.phases is None:
             return np.full(start.shape, work, dtype=np.int64)
+        # int64 floor division matches Python's for negative operands,
+        # so every intermediate is bit-equal to the scalar path.
+        period, duration = self.period, self.duration
+        gap = period - duration
         phase = self.phases[lanes]
-        t = np.full(start.shape, work, dtype=np.int64)
-        conv = np.zeros(start.shape, dtype=bool)
-        for _ in range(8):
-            new_t = work + self._stolen(phase, start, start + t)
-            conv |= new_t == t
-            t = new_t
-            if conv.all():
-                return t
-        # A lane that is still moving after 8 steps sits inside (or
-        # keeps hitting) events; finish with the scalar solver's exact
-        # doubling + bisection (idle(T) = T - stolen is monotone), step
-        # for step, vectorized over the stuck lanes.
-        idx = np.nonzero(~conv)[0]
-        ph, st = phase[idx], start[idx]
-        hi = t[idx].copy()
-        while True:
-            need = hi - self._stolen(ph, st, st + hi) < work
-            if not need.any():
-                break
-            hi[need] *= 2
-        lo = np.full(len(idx), work, dtype=np.int64)
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            ok = mid - self._stolen(ph, st, st + mid) >= work
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid + 1)
-        t[idx] = lo
-        return t
+        k, r = np.divmod(start - phase, period)
+        k, rem = np.divmod(k * gap + np.maximum(r - duration, 0) + work, gap)
+        end = phase + k * period + np.where(rem > 0, duration + rem, 0)
+        return end - start
 
 
 class BulkEngine:

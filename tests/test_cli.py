@@ -3,10 +3,14 @@ telemetry flag surface (``--metrics`` / ``--trace`` / ``stats``)."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 from repro.harness import execution_policy
 
 
@@ -185,3 +189,22 @@ def test_stats_sim_only_hides_host_metrics():
     assert code == 0
     assert "sim.events_processed:" in text
     assert "exec." not in text and "harness." not in text
+
+
+# -- stdout closed early ---------------------------------------------------------
+
+def test_closed_stdout_exits_quietly():
+    """`repro list | head -1`: a reader that goes away early stops the
+    command with the documented exit code and no traceback.  Closing
+    our read end before the child writes makes the EPIPE certain."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "repro", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert err == ""

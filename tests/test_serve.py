@@ -532,9 +532,9 @@ def test_top_render_frame_handles_empty_documents():
 # -- mid-stream disconnect regression ---------------------------------------
 
 def _truncating_server(chunks):
-    """A one-shot fake server: accept one request, stream the given
-    pre-encoded chunked-transfer byte strings, then slam the socket
-    shut without ever sending the terminal ``stats`` event."""
+    """A one-shot fake server: accept and read one request, stream the
+    given pre-encoded chunked-transfer byte strings, then close the
+    socket without ever sending the terminal ``stats`` event."""
     import socket
     import threading
 
@@ -550,6 +550,16 @@ def _truncating_server(chunks):
             data = b""
             while b"\r\n\r\n" not in data:
                 data += conn.recv(65536)
+            # Drain the body too: closing a socket with unread input
+            # sends RST, which can overtake the chunks sent below.
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = 0
+            for line in head.split(b"\r\n")[1:]:
+                name, _, value = line.partition(b":")
+                if name.strip().lower() == b"content-length":
+                    length = int(value)
+            while len(body) < length:
+                body += conn.recv(65536)
             conn.sendall(b"HTTP/1.1 200 OK\r\n"
                          b"Content-Type: application/x-ndjson\r\n"
                          b"Transfer-Encoding: chunked\r\n\r\n")
@@ -583,6 +593,42 @@ def test_submit_raises_clean_error_when_stream_dies_early():
     assert events == [record]  # everything before the cut still streamed
 
 
+def test_submit_reset_after_streamed_events_is_a_cut_stream(monkeypatch):
+    """A reset that lands after some events is the same failure as an
+    orderly close: the client must not report it differently."""
+    record = {"event": "record",
+              "record": {"nodes": 2, "pattern": "quiet", "makespan_ms": 1.0}}
+
+    class Response:
+        status = 200
+
+        def __init__(self):
+            self.lines = [_ndjson(record)]
+
+        def readline(self):
+            if self.lines:
+                return self.lines.pop(0)
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+    class Connection:
+        def request(self, *args, **kwargs):
+            pass
+
+        def getresponse(self):
+            return Response()
+
+        def close(self):
+            pass
+
+    client = ServeClient("127.0.0.1", 1, timeout=5)
+    monkeypatch.setattr(client, "_connection", Connection)
+    events = []
+    with pytest.raises(ServeError, match="before the terminal 'stats'"):
+        for event in client.submit({"kind": "sweep"}):
+            events.append(event)
+    assert events == [record]
+
+
 def test_submit_raises_clean_error_on_partial_ndjson_line():
     """A connection cut mid-line (truncated NDJSON) is a ServeError
     too — whichever of the read/decode layers sees it first."""
@@ -607,3 +653,36 @@ def test_cli_submit_midstream_close_is_rc2():
     assert rc == 2
     assert "error:" in out.getvalue()
     assert "Traceback" not in out.getvalue()
+
+
+# -- graceful shutdown of the `repro serve` process -----------------------------
+
+def test_serve_exits_on_first_sigterm(tmp_path):
+    """The event loop owns SIGTERM, so the first signal always takes the
+    graceful path: close the server, dump the metrics, exit 0."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    metrics = tmp_path / "metrics.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--metrics-json", str(metrics)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+    try:
+        assert proc.stdout.readline().startswith("serving on http://")
+        proc.send_signal(signal.SIGTERM)
+        rest = proc.communicate(timeout=30)[0]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, rest
+    assert "shutting down" in rest and "Traceback" not in rest
+    assert json.loads(metrics.read_text())["serve"]["workers"] == 1
