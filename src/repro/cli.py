@@ -80,8 +80,9 @@ per-node/per-source attribution table plus the quiet-vs-noisy diff —
 "who stole the makespan" (E16 validates the attribution against
 planted ground truth).
 
-Exit status: ``0`` success; ``1`` findings (``lint``) or a failed
-experiment; ``2`` a clean one-line ``error:`` (bad configuration,
+Exit status: ``0`` success; ``1`` findings (``lint``), a failed
+experiment, or a failed sweep point (``sweep``/``submit`` name each one
+after the table); ``2`` a clean one-line ``error:`` (bad configuration,
 unreachable server); ``141`` (128 + SIGPIPE, as a shell tool killed by
 the signal reports) when the reader of stdout goes away early, e.g.
 ``repro list | head -1`` — the command stops quietly, no traceback.
@@ -683,7 +684,8 @@ def _cmd_top(args: argparse.Namespace, out: _t.TextIO) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: _t.TextIO) -> int:
-    from .core import sweep_records
+    from .core import flat_records
+    from .parallel import SweepExecutor
 
     _apply_obs_flags(args)
 
@@ -693,16 +695,19 @@ def _cmd_sweep(args: argparse.Namespace, out: _t.TextIO) -> int:
                             faults=args.faults, topology=args.topology,
                             shape=args.shape,
                             collectives=_parse_collectives(args.collectives))
-    records = sweep_records(base, nodes=nodes, patterns=patterns,
-                            progress=lambda s: out.write(s + "\n"),
-                            workers=args.workers, cache=args.cache)
-    _sweep_table(records, args.app, out, args.csv)
+    executor = SweepExecutor(workers=args.workers, cache=args.cache)
+    results = executor.run_sweep(base, nodes=nodes, patterns=patterns,
+                                 progress=lambda s: out.write(s + "\n"))
+    _sweep_table(flat_records(results), args.app, out, args.csv)
+    errors = executor.last_stats.errors  # type: ignore[union-attr]
+    for err in errors:
+        out.write(f"{err.label} failed ({err.kind}): {err.message}\n")
     if args.metrics:
         from .obs import runtime as _obs
 
         out.write("\nmetrics:\n" + _obs.registry().render())
     _finish_obs(args, out)
-    return 0
+    return 1 if errors else 0
 
 
 def main(argv: _t.Sequence[str] | None = None,

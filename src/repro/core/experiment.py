@@ -18,7 +18,7 @@ from ..faults import FaultPlan, parse_faults
 from ..kernel import KernelConfig
 from ..ktau import KtauTracer, OverheadModel
 from ..net import LogGPParams
-from ..noise import InjectionPlan, parse_pattern
+from ..noise import InjectionPlan, is_quiet, parse_pattern
 from .machine import Machine, MachineConfig
 from .results import ComparisonResult, RunResult
 
@@ -124,8 +124,13 @@ class ExperimentConfig:
                                             or self.record_edges))
 
     def quiet_twin(self) -> "ExperimentConfig":
-        """The same experiment with no injected noise."""
-        return replace(self, noise_pattern="quiet")
+        """The same experiment with no injected noise.
+
+        Alignment only parameterises injected noise, so it is reset to
+        the default: twins that differ in nothing else are the same
+        physical run and share one simulation and one cache entry.
+        """
+        return replace(self, noise_pattern="quiet", alignment="random")
 
     def reliable_twin(self) -> "ExperimentConfig":
         """The same experiment with no injected faults."""
@@ -181,7 +186,7 @@ def run_experiment(config: ExperimentConfig,
 
 def run_with_baseline(config: ExperimentConfig) -> ComparisonResult:
     """Run ``config`` and its quiet twin; return the comparison."""
-    if config.noise_pattern.strip().lower() in ("quiet", "none", "off"):
+    if is_quiet(config.noise_pattern):
         raise ConfigError("run_with_baseline needs a noisy configuration")
     quiet = _t.cast(RunResult, run_experiment(config.quiet_twin()))
     noisy = _t.cast(RunResult, run_experiment(config))

@@ -22,7 +22,7 @@ from .results import ComparisonResult, RunResult
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel import ResultCache
 
-__all__ = ["sweep", "sweep_records"]
+__all__ = ["sweep", "sweep_records", "flat_records"]
 
 
 def sweep(base: ExperimentConfig, *, nodes: _t.Sequence[int],
@@ -65,9 +65,18 @@ def sweep_records(base: ExperimentConfig, *, nodes: _t.Sequence[int],
     completion order — so the output is stable for any ``workers``
     setting.
     """
+    return flat_records(sweep(base, nodes=nodes, patterns=patterns,
+                              progress=progress, workers=workers,
+                              cache=cache))
+
+
+def flat_records(results: _t.Mapping[tuple[int, str],
+                                     ComparisonResult | RunResult]
+                 ) -> list[dict[str, _t.Any]]:
+    """Sweep results -> one ``as_dict()`` record per cell, sorted by
+    ``(nodes, pattern)`` (the CLI, the server and CSV export share it).
+    """
     out = []
-    results = sweep(base, nodes=nodes, patterns=patterns,
-                    progress=progress, workers=workers, cache=cache)
     for (p, pattern), res in sorted(results.items()):
         record = res.as_dict()
         record.setdefault("nodes", p)

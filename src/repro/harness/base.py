@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 
 from ..analysis.tables import format_csv, format_table
 from ..errors import ConfigError
+from ..parallel import SweepExecutor
 
 __all__ = ["ExperimentReport", "Scale", "check_scale",
-           "ExecutionPolicy", "execution_policy", "set_execution_policy"]
+           "ExecutionPolicy", "execution_policy", "set_execution_policy",
+           "policy_executor"]
 
 Scale = str
 _SCALES = ("small", "full")
@@ -40,8 +42,7 @@ class ExecutionPolicy:
 
     Experiments stay pure ``run(scale) -> report`` functions; the CLI
     (``--workers`` / ``--cache``) sets this process-wide policy and
-    sweep-shaped experiments route through
-    :class:`repro.parallel.SweepExecutor` accordingly.
+    experiments run their points through :func:`policy_executor`.
 
     Attributes
     ----------
@@ -76,8 +77,13 @@ def set_execution_policy(*, workers: int | None = None,
     if workers is not None:
         _POLICY.workers = workers
     if cache is not None:
-        _POLICY.cache = cache or None
+        _POLICY.cache = None if cache == "" else cache
     return _POLICY
+
+
+def policy_executor() -> SweepExecutor:
+    """A :class:`~repro.parallel.SweepExecutor` honouring the policy."""
+    return SweepExecutor(workers=_POLICY.workers, cache=_POLICY.cache)
 
 
 @dataclass

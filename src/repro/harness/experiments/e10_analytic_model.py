@@ -15,10 +15,10 @@ the fine-noise curve stays flat near the injected share.
 from __future__ import annotations
 
 from ...analysis.absorption import BSPModel
-from ...core import ExperimentConfig, run_with_baseline
+from ...core import ExperimentConfig
 from ...noise import parse_pattern
 from ...sim.timebase import MICROSECOND, MILLISECOND
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E10"
 TITLE = "Analytic model vs simulation; large-P extrapolation"
@@ -41,14 +41,16 @@ def run(scale: Scale = "small", *, seed: int = 103) -> ExperimentReport:
     rows = []
     agreement: list[float] = []
     sim_slow: dict[tuple[int, str], float] = {}
+    comparisons = policy_executor().run_comparisons({
+        (p, pattern): ExperimentConfig(
+            app="bsp", nodes=p, noise_pattern=pattern, seed=seed,
+            kernel="lightweight",
+            app_params=dict(work_ns=_WORK, iterations=60))
+        for p in sim_nodes for pattern in patterns})
     for p in sim_nodes:
         for pattern in patterns:
             src = parse_pattern(pattern)
-            cmp = run_with_baseline(ExperimentConfig(
-                app="bsp", nodes=p, noise_pattern=pattern, seed=seed,
-                kernel="lightweight",
-                app_params=dict(work_ns=_WORK, iterations=60)))
-            sim = cmp.slowdown.slowdown_fraction
+            sim = comparisons[(p, pattern)].slowdown.slowdown_fraction
             pred = model.predict(p, src.period, src.duration)
             sim_slow[(p, pattern)] = sim
             ratio = (pred.slowdown_fraction / sim) if sim > 0 else float("nan")

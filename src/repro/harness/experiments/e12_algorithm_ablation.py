@@ -13,8 +13,8 @@ chain makes it the most fragile in absolute time.
 
 from __future__ import annotations
 
-from ...core import ExperimentConfig, run_with_baseline
-from ..base import ExperimentReport, Scale, check_scale
+from ...core import ExperimentConfig
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E12"
 TITLE = "Allreduce algorithm ablation under identical noise"
@@ -31,12 +31,14 @@ def run(scale: Scale = "small", *, seed: int = 127) -> ExperimentReport:
     rows = []
     quiet_span: dict[str, int] = {}
     noisy_span: dict[str, int] = {}
-    for alg in _ALGORITHMS:
-        cfg = ExperimentConfig(
+    comparisons = policy_executor().run_comparisons({
+        alg: ExperimentConfig(
             app="bsp", nodes=nodes, noise_pattern=pattern, seed=seed,
             app_params=dict(work_ns=1_000_000, iterations=30,
                             algorithm=alg))
-        cmp = run_with_baseline(cfg)
+        for alg in _ALGORITHMS})
+    for alg in _ALGORITHMS:
+        cmp = comparisons[alg]
         quiet_span[alg] = cmp.quiet.makespan_ns
         noisy_span[alg] = cmp.noisy.makespan_ns
         rows.append([alg, round(cmp.quiet.makespan_ns / 1e6, 3),

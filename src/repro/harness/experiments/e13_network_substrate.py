@@ -16,8 +16,8 @@ noise-exposed networking, compounding.
 
 from __future__ import annotations
 
-from ...core import ExperimentConfig, run_with_baseline
-from ..base import ExperimentReport, Scale, check_scale
+from ...core import ExperimentConfig
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E13"
 TITLE = "Noise amplification vs interconnect speed"
@@ -36,11 +36,14 @@ def run(scale: Scale = "small", *, seed: int = 131) -> ExperimentReport:
     rows = []
     rel: dict[str, float] = {}
     added: dict[str, float] = {}
-    for net in _NETWORKS:
-        cmp = run_with_baseline(ExperimentConfig(
+    comparisons = policy_executor().run_comparisons({
+        net: ExperimentConfig(
             app="pop", nodes=nodes, noise_pattern="2.5pct@10Hz",
             network=net, seed=seed, kernel="lightweight",
-            app_params=app_params))
+            app_params=app_params)
+        for net in _NETWORKS})
+    for net in _NETWORKS:
+        cmp = comparisons[net]
         rel[net] = cmp.slowdown.slowdown_fraction
         added[net] = (cmp.noisy.makespan_ns - cmp.quiet.makespan_ns) / 1e6
         rows.append([net, round(cmp.quiet.makespan_ns / 1e6, 2),

@@ -23,8 +23,7 @@ from dataclasses import replace
 
 from ...core import ExperimentConfig
 from ...faults import FaultPlan
-from ...parallel import SweepExecutor
-from ..base import ExperimentReport, Scale, check_scale, execution_policy
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E15"
 TITLE = "Fault resilience: drop-rate x ack-timeout recovery cost"
@@ -64,9 +63,7 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
                                               dup=_DUP_RATE))
     labels[dup_key] = f"dup={_DUP_RATE}"
 
-    policy = execution_policy()
-    executor = SweepExecutor(workers=policy.workers, cache=policy.cache)
-    points, _timings = executor.run_configs(configs, labels=labels)
+    points, _timings = policy_executor().run_configs(configs, labels=labels)
     base_ns = points[("base",)].makespan_ns
 
     headers = ["drop rate", "ack timeout", "makespan ms", "slowdown %",

@@ -58,8 +58,7 @@ from dataclasses import replace
 from ...core import ExperimentConfig
 from ...faults import FaultPlan
 from ...obs.wavefront import WavefrontResult, extract_wavefront
-from ...parallel import SweepExecutor
-from ..base import ExperimentReport, Scale, check_scale, execution_policy
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E20"
 TITLE = "Idle-wave propagation & decay from a planted one-off delay"
@@ -147,9 +146,7 @@ def run(scale: Scale = "small", *, seed: int = 201) -> ExperimentReport:
         labels[("decay", pattern, "base")] = f"decay {pattern} baseline"
         labels[("decay", pattern, "delayed")] = f"decay {pattern} delayed"
 
-    policy = execution_policy()
-    executor = SweepExecutor(workers=policy.workers, cache=policy.cache)
-    points, _timings = executor.run_configs(configs, labels=labels)
+    points, _timings = policy_executor().run_configs(configs, labels=labels)
 
     speed_waves: dict[str, WavefrontResult] = {}
     for algo in ("ring", "two-level"):

@@ -13,9 +13,9 @@ noise hurts more than fine noise for every app.
 
 from __future__ import annotations
 
-from ...core import ExperimentConfig, sweep
+from ...core import ExperimentConfig
 from ...noise import CANONICAL_SWEEP
-from ..base import ExperimentReport, Scale, check_scale, execution_policy
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E4"
 TITLE = "Application slowdown vs node count per noise granularity"
@@ -39,12 +39,12 @@ def run(scale: Scale = "small", *, seed: int = 41) -> ExperimentReport:
                "slowdown %", "amplification"]
     rows = []
     slow: dict[tuple[str, int, str], float] = {}
-    policy = execution_policy()
+    executor = policy_executor()
     for app, params in _APP_PARAMS.items():
         base = ExperimentConfig(app=app, seed=seed, kernel="lightweight",
                                 app_params=params)
-        results = sweep(base, nodes=node_counts, patterns=patterns,
-                        workers=policy.workers, cache=policy.cache)
+        results = executor.run_sweep(base, nodes=node_counts,
+                                     patterns=patterns)
         for (p, pattern), cmp in sorted(results.items()):
             sd = cmp.slowdown
             slow[(app, p, pattern)] = sd.slowdown_fraction

@@ -12,8 +12,8 @@ pair than on the net percentage — the table's whole point.
 
 from __future__ import annotations
 
-from ...core import ExperimentConfig, run_with_baseline
-from ..base import ExperimentReport, Scale, check_scale
+from ...core import ExperimentConfig
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E5"
 TITLE = "Absorption vs amplification per (application, pattern)"
@@ -40,12 +40,14 @@ def run(scale: Scale = "small", *, seed: int = 53) -> ExperimentReport:
     rows = []
     verdicts: dict[tuple[str, str], str] = {}
     amps: dict[tuple[str, str], float] = {}
-    for app, params in _APP_PARAMS.items():
+    comparisons = policy_executor().run_comparisons({
+        (app, pattern): ExperimentConfig(
+            app=app, nodes=nodes, noise_pattern=pattern, seed=seed,
+            kernel="lightweight", app_params=params)
+        for app, params in _APP_PARAMS.items() for pattern in _PATTERNS})
+    for app in _APP_PARAMS:
         for pattern in _PATTERNS:
-            cmp = run_with_baseline(ExperimentConfig(
-                app=app, nodes=nodes, noise_pattern=pattern, seed=seed,
-                kernel="lightweight", app_params=params))
-            sd = cmp.slowdown
+            sd = comparisons[(app, pattern)].slowdown
             verdicts[(app, pattern)] = sd.verdict
             amps[(app, pattern)] = sd.amplification
             rows.append([app, pattern,

@@ -14,8 +14,7 @@ experiment behind the era's co-scheduled-daemons folklore.
 from __future__ import annotations
 
 from ...core import ExperimentConfig
-from ...parallel import SweepExecutor
-from ..base import ExperimentReport, Scale, check_scale, execution_policy
+from ..base import ExperimentReport, Scale, check_scale, policy_executor
 
 EXPERIMENT_ID = "E9"
 TITLE = "Synchronized vs unsynchronized noise across nodes"
@@ -33,9 +32,7 @@ def run(scale: Scale = "small", *, seed: int = 97) -> ExperimentReport:
                "amplification"]
     rows = []
     slow: dict[str, float] = {}
-    policy = execution_policy()
-    executor = SweepExecutor(workers=policy.workers, cache=policy.cache)
-    comparisons = executor.run_comparisons({
+    comparisons = policy_executor().run_comparisons({
         alignment: ExperimentConfig(
             app="bsp", nodes=nodes, noise_pattern="2.5pct@10Hz",
             alignment=alignment, seed=seed, kernel="lightweight",

@@ -27,7 +27,13 @@ from .burst import BurstNoise
 from .composite import CompositeNoise
 from .injection import InjectionPlan
 from .oneoff import ONE_OFF_SOURCE, OneOffNoise
-from .patterns import CANONICAL_SWEEP, canonical_patterns, parse_pattern, pattern_names
+from .patterns import (
+    CANONICAL_SWEEP,
+    canonical_patterns,
+    is_quiet,
+    parse_pattern,
+    pattern_names,
+)
 from .periodic import PeriodicNoise
 from .playback import TraceNoise
 from .random_noise import BernoulliTickNoise, ChunkedRandomNoise, PoissonNoise
@@ -40,4 +46,5 @@ __all__ = [
     "OneOffNoise", "ONE_OFF_SOURCE",
     "InjectionPlan",
     "parse_pattern", "pattern_names", "canonical_patterns", "CANONICAL_SWEEP",
+    "is_quiet",
 ]

@@ -35,17 +35,26 @@ from .periodic import PeriodicNoise
 from .random_noise import PoissonNoise
 
 __all__ = ["parse_pattern", "pattern_names", "CANONICAL_SWEEP",
-           "canonical_patterns"]
+           "canonical_patterns", "is_quiet"]
 
 #: The standard fixed-utilization granularity sweep (2.5 % net).
 CANONICAL_SWEEP: tuple[str, ...] = (
     "2.5pct@10Hz", "2.5pct@100Hz", "2.5pct@1000Hz",
 )
 
+#: Spellings (case-insensitive, surrounding blanks ignored) that mean
+#: "no injected noise".
+QUIET_ALIASES = ("quiet", "none", "off")
+
 _SPEC_RE = re.compile(
     r"^(?P<pct>\d+(?:\.\d+)?)pct@(?P<freq>\d+(?:\.\d+)?)hz"
     r"(?P<kind>poisson|burst(?P<burst_n>\d+))?$",
     re.IGNORECASE)
+
+
+def is_quiet(spec: str) -> bool:
+    """True if ``spec`` names the quiet (noise-free) pattern."""
+    return spec.strip().lower() in QUIET_ALIASES
 
 
 def parse_pattern(spec: str, *, phase: int = 0, seed: int = 0) -> NoiseSource:
@@ -60,9 +69,9 @@ def parse_pattern(spec: str, *, phase: int = 0, seed: int = 0) -> NoiseSource:
     seed:
         RNG seed for stochastic patterns (ignored for periodic).
     """
-    text = spec.strip()
-    if text.lower() in ("quiet", "none", "off"):
+    if is_quiet(spec):
         return NullNoise(name="quiet")
+    text = spec.strip()
     m = _SPEC_RE.match(text)
     if not m:
         raise ConfigError(

@@ -5,14 +5,22 @@ sweep over independent, deterministic ``(nodes, pattern)`` simulation
 points, so they shard cleanly across processes and cache cleanly on
 disk.
 
-* :class:`SweepExecutor` — fans sweep points over a process pool
+* :func:`plan_sweep` / :func:`plan_comparisons` — the one pure
+  expansion of noisy-vs-quiet comparisons into points (quiet twins
+  first, deduplicated; twins from
+  :meth:`~repro.core.ExperimentConfig.quiet_twin`) and
+  :meth:`ComparisonPlan.assemble`, the one way back from finished
+  points to results.  The CLI, the harness and the experiment server
+  all run these plans.
+* :class:`SweepExecutor` — fans plan points over a process pool
   (``workers=`` knob, serial fallback at ``workers=1``), collects
   deterministically by point key, and reports per-point timings plus
   simulated-vs-cached counts via :class:`SweepStats`.
 * :class:`ResultCache` — content-keyed pickle cache (stable SHA-256 of
-  the config, salted with :data:`repro.__version__`) so quiet
-  baselines are computed once ever and shared across sweeps, CLI
-  invocations, and the experiment harness.
+  the config, salted with :data:`repro.__version__`, stored as
+  ``<root>/v<version>/<key[:2]>/<key>.pkl``) so quiet baselines are
+  computed once ever and shared across sweeps, CLI invocations, the
+  experiment harness and the server.
 
 Quick taste::
 
@@ -27,22 +35,18 @@ Quick taste::
 or simply ``repro.core.sweep(..., workers=4, cache=...)``.
 """
 
-from .cache import (
-    CacheStats,
-    ResultCache,
-    ShardedResultCache,
-    config_key,
-    config_token,
-)
-from .executor import (
-    PointTiming,
-    SweepExecutor,
-    SweepStats,
-    normalized_quiet_twin,
+from .cache import CacheStats, ResultCache, config_key, config_token
+from .executor import PointTiming, SweepExecutor, SweepStats
+from .plan import (
+    ComparisonPlan,
+    PointError,
+    PointPlan,
+    plan_comparisons,
+    plan_sweep,
 )
 
 __all__ = [
-    "SweepExecutor", "SweepStats", "PointTiming", "normalized_quiet_twin",
-    "ResultCache", "ShardedResultCache", "CacheStats",
-    "config_key", "config_token",
+    "SweepExecutor", "SweepStats", "PointTiming", "PointError",
+    "ComparisonPlan", "PointPlan", "plan_sweep", "plan_comparisons",
+    "ResultCache", "CacheStats", "config_key", "config_token",
 ]

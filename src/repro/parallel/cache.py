@@ -19,9 +19,13 @@ every key and also names the cache subdirectory, so bumping the
 library version invalidates the whole cache without deleting anything.
 
 Storage is one pickle file per result under
-``<root>/v<version>/<key>.pkl``.  Writes go through a temp file +
-``os.replace`` so concurrent workers never observe a torn entry;
-unreadable entries count as misses and are removed.
+``<root>/v<version>/<key[:2]>/<key>.pkl``: 256 prefix shards, so hot
+shared caches (the experiment server's above all) never scan or
+``readdir`` one directory with hundreds of thousands of files.  Writes
+go through a temp file created inside the target shard +
+``os.replace``, so concurrent workers, servers and CLI runs sharing a
+root never observe a torn entry; unreadable entries count as misses
+and are removed.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from pathlib import Path
 
 from .. import __version__
 
-__all__ = ["MISS", "CacheStats", "ResultCache", "ShardedResultCache",
-           "config_key", "config_token"]
+__all__ = ["MISS", "CacheStats", "ResultCache", "config_key",
+           "config_token"]
 
 #: Orphaned ``*.tmp`` files older than this are swept opportunistically
 #: (a worker killed between ``mkstemp`` and ``os.replace`` leaves them
@@ -139,8 +143,8 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory (created on first write).  Entries live in a
-        per-version subdirectory.
+        Cache directory (created on first write).  Entries live in
+        prefix shards of a per-version subdirectory.
     version:
         Version salt; defaults to :data:`repro.__version__`.  Bumping
         it orphans (but does not delete) all prior entries.
@@ -188,7 +192,8 @@ class ResultCache:
         return config_key(config, salt=self.version)
 
     def _path(self, config: _t.Any) -> Path:
-        return self._dir / f"{self.key(config)}.pkl"
+        key = self.key(config)
+        return self._dir / key[:2] / f"{key}.pkl"
 
     def get(self, config: _t.Any, default: _t.Any = None) -> _t.Any:
         """The cached result for ``config``, or ``default`` on a miss.
@@ -267,83 +272,6 @@ class ResultCache:
                 f"hits={self.stats.hits} misses={self.stats.misses}>")
 
 
-class ShardedResultCache(ResultCache):
-    """A :class:`ResultCache` with prefix-sharded entry directories.
-
-    Entries live under ``<root>/v<version>/<key[:width]>/<key>.pkl``
-    instead of one flat directory, so hot shared caches (the experiment
-    server's above all) never scan or ``readdir`` a single directory
-    with hundreds of thousands of files.  The write protocol is the
-    same temp-file + ``os.replace`` dance, temp files are created
-    inside the target shard, and keys are identical to the flat
-    layout — a sharded and a flat cache rooted at the same directory
-    serve the same entries, which makes the layouts safe to migrate
-    between and the cache safe to share between server and CLI.
-
-    Any flat-layout entries found at init are migrated into their
-    shards with atomic renames (concurrent readers see either the old
-    or the new path, both of which this class consults).
-    """
-
-    def __init__(self, root: str | os.PathLike[str],
-                 *, version: str = __version__,
-                 shard_width: int = 2,
-                 tmp_max_age_s: float = TMP_MAX_AGE_S) -> None:
-        if not 1 <= shard_width <= 8:
-            from ..errors import ConfigError
-
-            raise ConfigError(
-                f"shard_width must be in 1..8, got {shard_width}")
-        self.shard_width = shard_width
-        super().__init__(root, version=version, tmp_max_age_s=tmp_max_age_s)
-        if self._dir.is_dir():
-            self.migrate_flat()
-
-    def _path(self, config: _t.Any) -> Path:
-        key = self.key(config)
-        return self._dir / key[:self.shard_width] / f"{key}.pkl"
-
-    def get(self, config: _t.Any, default: _t.Any = None) -> _t.Any:
-        value = super().get(config, MISS)
-        if value is not MISS:
-            return value
-        # Fall back to a not-yet-migrated flat entry (e.g. written by
-        # an older CLI sharing this directory); promote it on sight.
-        key = self.key(config)
-        flat = self._dir / f"{key}.pkl"
-        if flat.is_file():
-            try:
-                with open(flat, "rb") as f:
-                    value = pickle.load(f)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError):
-                flat.unlink(missing_ok=True)
-                return default
-            self.stats.misses -= 1  # super().get counted a miss
-            self.stats.hits += 1
-            self._promote(flat)
-            return value
-        return default
-
-    def _promote(self, flat: Path) -> None:
-        """Move one flat-layout entry into its shard (atomic rename)."""
-        shard = self._dir / flat.name[:self.shard_width]
-        shard.mkdir(exist_ok=True)
-        try:
-            os.replace(flat, shard / flat.name)
-        except OSError:
-            pass  # raced with a concurrent migrator; entry still served
-
-    def migrate_flat(self) -> int:
-        """Shard every flat-layout ``*.pkl`` entry; returns the count.
-
-        Renames are atomic and idempotent, so concurrent migrators (a
-        server and a CLI starting together) are safe: each entry ends
-        up in its shard exactly once.
-        """
-        migrated = 0
-        for p in self._dir.iterdir():
-            if p.is_file() and p.suffix == ".pkl":
-                self._promote(p)
-                migrated += 1
-        return migrated
+#: Former name of the sharded layout, now the only one; kept so code
+#: that imports it (``perfbench/layers.py``) still resolves.
+ShardedResultCache = ResultCache

@@ -23,7 +23,7 @@ import os
 import time
 import typing as _t
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core.experiment import ExperimentConfig, run_experiment
 from ..core.results import ComparisonResult, RunResult
@@ -32,20 +32,9 @@ from ..obs import oplog as _oplog
 from ..obs import runtime as _obs
 from ..obs.trace import SpanTracer
 from .cache import MISS, ResultCache
+from .plan import ComparisonPlan, PointError, plan_comparisons, plan_sweep
 
-__all__ = ["PointError", "PointTiming", "SweepStats", "SweepExecutor",
-           "normalized_quiet_twin"]
-
-#: Pattern spellings that mean "no injected noise".
-_QUIET_ALIASES = ("quiet", "none", "off")
-
-#: Internal point keys: ("quiet", nodes) or ("noisy", nodes, pattern).
-_PointKey = tuple
-
-
-def _is_quiet(pattern: str) -> bool:
-    return pattern.strip().lower() in _QUIET_ALIASES
-
+__all__ = ["PointTiming", "SweepStats", "SweepExecutor"]
 
 #: Categories captured for a traced point (sim-time only — the
 #: per-event ``sim`` firehose and host spans stay out) and the per-point
@@ -96,16 +85,6 @@ def _run_point(config: ExperimentConfig, det_check: bool = False,
     return result, t0, time.perf_counter()
 
 
-def normalized_quiet_twin(config: ExperimentConfig) -> ExperimentConfig:
-    """``config``'s quiet twin with noise-only axes canonicalised.
-
-    Alignment only parameterises the injected noise, so quiet twins
-    that differ in nothing else are the same physical run; normalising
-    lets them share one simulation and one cache entry.
-    """
-    return replace(config, noise_pattern="quiet", alignment="random")
-
-
 @dataclass(frozen=True)
 class PointTiming:
     """Wall-clock record for one executed (or cache-served) point."""
@@ -113,33 +92,6 @@ class PointTiming:
     label: str
     elapsed_s: float
     cached: bool
-
-
-@dataclass(frozen=True)
-class PointError:
-    """One sweep point that failed (after its retry) and was isolated.
-
-    Attributes
-    ----------
-    label:
-        Human-readable point label (as used in progress lines).
-    kind:
-        Exception class name (``"FaultError"``, ``"DeadlockError"`` ...).
-    message:
-        Stringified exception.
-    retried:
-        True if the point was re-run (serially) before being declared
-        failed.
-    """
-
-    label: str
-    kind: str
-    message: str
-    retried: bool = False
-
-    def as_dict(self) -> dict[str, _t.Any]:
-        return {"label": self.label, "kind": self.kind,
-                "message": self.message, "retried": self.retried}
 
 
 @dataclass
@@ -228,9 +180,7 @@ class SweepExecutor:
             # An empty path would silently cache into ./v<version>/.
             self.cache = None
         else:
-            from .cache import ShardedResultCache
-
-            self.cache = ShardedResultCache(cache)
+            self.cache = ResultCache(cache)
         #: Keep one process pool alive across fan-outs (the experiment
         #: server's mode): repeated small jobs stop paying pool
         #: creation, and :meth:`submit_config` becomes available.
@@ -439,62 +389,15 @@ class SweepExecutor:
         """Run noisy configs against their quiet twins, all in one pool.
 
         The parallel, baseline-deduplicating form of calling
-        :func:`repro.core.run_with_baseline` per config: physically
-        identical quiet twins (see :func:`normalized_quiet_twin`) are
-        simulated once and shared by every comparison that needs them.
+        :func:`repro.core.run_with_baseline` per config (see
+        :func:`~repro.parallel.plan_comparisons`): physically identical
+        quiet twins are simulated once and shared by every comparison
+        that needs them.
         """
-        from .cache import config_key
+        return _t.cast(dict[_t.Any, ComparisonResult],
+                       self._run_plan(plan_comparisons(configs),
+                                      progress=progress))
 
-        t0 = time.perf_counter()
-        plan: dict[_PointKey, ExperimentConfig] = {}
-        labels: dict[_PointKey, str] = {}
-        twin_of: dict[_t.Any, _PointKey] = {}
-        for key, cfg in configs.items():
-            if _is_quiet(cfg.noise_pattern):
-                raise ConfigError(
-                    f"run_comparisons needs noisy configurations; "
-                    f"{key!r} is {cfg.noise_pattern!r}")
-            twin = normalized_quiet_twin(cfg)
-            twin_key = ("quiet", config_key(twin))
-            if twin_key not in plan:
-                plan[twin_key] = twin
-                labels[twin_key] = f"quiet baseline P={twin.nodes}"
-            twin_of[key] = twin_key
-        for key, cfg in configs.items():
-            plan[("noisy", key)] = cfg
-            labels[("noisy", key)] = (f"P={cfg.nodes} "
-                                      f"pattern={cfg.noise_pattern}")
-
-        points, timings = self.run_configs(plan, labels=labels,
-                                           progress=progress)
-
-        stats = SweepStats(workers=self.workers)
-        for pkey, timing in timings.items():
-            stats.tally(pkey[0], timing)
-        stats.errors = [self.last_errors[k] for k in plan
-                        if k in self.last_errors]
-
-        results: dict[_t.Any, ComparisonResult] = {}
-        for key in configs:
-            twin_key, noisy_key = twin_of[key], ("noisy", key)
-            if twin_key in points and noisy_key in points:
-                results[key] = ComparisonResult(quiet=points[twin_key],
-                                                noisy=points[noisy_key])
-            elif noisy_key in points:
-                # The noisy run survived but its baseline did not, so no
-                # slowdown can be computed — surface that as an error on
-                # this comparison rather than dropping it silently.
-                stats.errors.append(PointError(
-                    labels[noisy_key], "MissingBaseline",
-                    "quiet baseline failed: "
-                    f"{self.last_errors[twin_key].message}"))
-
-        stats.wall_s = time.perf_counter() - t0
-        self.last_stats = stats
-        _obs.harvest_sweep_stats(stats)
-        return results
-
-    # -- sweep orchestration -----------------------------------------------
     def run_sweep(self, base: ExperimentConfig, *,
                   nodes: _t.Sequence[int], patterns: _t.Sequence[str],
                   progress: _t.Callable[[str], None] | None = None
@@ -507,55 +410,28 @@ class SweepExecutor:
         :class:`ComparisonResult` at a given machine size shares the
         *same* quiet baseline object.
         """
-        if not nodes or not patterns:
-            raise ConfigError("sweep needs at least one node count and pattern")
+        return self._run_plan(plan_sweep(base, nodes, patterns),
+                              progress=progress)
 
+    def _run_plan(self, plan: ComparisonPlan, *,
+                  progress: _t.Callable[[str], None] | None = None
+                  ) -> dict[_t.Any, ComparisonResult | RunResult]:
+        """Run ``plan``'s points and assemble its cells.
+
+        Failed points and comparisons left without a baseline are
+        omitted from the result and listed, in plan order, in
+        ``last_stats.errors``.
+        """
         t0 = time.perf_counter()
-        configs: dict[_PointKey, ExperimentConfig] = {}
-        labels: dict[_PointKey, str] = {}
-        for p in nodes:
-            configs[("quiet", p)] = normalized_quiet_twin(
-                replace(base, nodes=p))
-            labels[("quiet", p)] = f"quiet baseline P={p}"
-        for p in nodes:
-            for pattern in patterns:
-                if _is_quiet(pattern):
-                    continue
-                key = ("noisy", p, pattern)
-                configs[key] = replace(base, nodes=p, noise_pattern=pattern)
-                labels[key] = f"P={p} pattern={pattern}"
-
-        points, timings = self.run_configs(configs, labels=labels,
-                                           progress=progress)
-
+        points, timings = self.run_configs(
+            {pt.key: pt.config for pt in plan.points},
+            labels={pt.key: pt.label for pt in plan.points},
+            progress=progress)
         stats = SweepStats(workers=self.workers)
         for key, timing in timings.items():
             stats.tally(key[0], timing)
-        stats.errors = [self.last_errors[k] for k in configs
-                        if k in self.last_errors]
-
-        results: dict[tuple[int, str], ComparisonResult | RunResult] = {}
-        for p in nodes:
-            quiet = points.get(("quiet", p))
-            for pattern in patterns:
-                if _is_quiet(pattern):
-                    if quiet is not None:
-                        results[(p, pattern)] = quiet
-                    continue
-                noisy = points.get(("noisy", p, pattern))
-                if noisy is None:
-                    continue  # already in stats.errors
-                if quiet is None:
-                    # Noisy point survived but its size's quiet baseline
-                    # failed; no slowdown can be formed for it.
-                    stats.errors.append(PointError(
-                        labels[("noisy", p, pattern)], "MissingBaseline",
-                        "quiet baseline failed: "
-                        f"{self.last_errors[('quiet', p)].message}"))
-                    continue
-                results[(p, pattern)] = ComparisonResult(quiet=quiet,
-                                                         noisy=noisy)
-
+        results, missing = plan.assemble(points, self.last_errors)
+        stats.errors = [*self.last_errors.values(), *missing]
         stats.wall_s = time.perf_counter() - t0
         self.last_stats = stats
         _obs.harvest_sweep_stats(stats)

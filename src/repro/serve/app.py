@@ -2,15 +2,16 @@
 
 :class:`ExperimentServer` turns the library's deterministic simulation
 points into a shared service: it accepts compare/sweep jobs as JSON
-(``POST /v1/jobs``), expands them through the
-:mod:`~repro.serve.planner`, fans points out over a persistent
+(``POST /v1/jobs``), expands them through the executor's own sweep
+plan (:func:`~repro.parallel.plan_sweep`, via
+:mod:`~repro.serve.planner`), fans points out over a persistent
 process-pool worker tier (the async seam around
 :class:`~repro.parallel.SweepExecutor`), and streams results back as
 chunked NDJSON while points finish.  Identical in-flight points across
 concurrent requests collapse onto one simulation
 (:class:`~repro.serve.inflight.InflightRegistry`); completed points
 are served from the sharded on-disk
-:class:`~repro.parallel.ShardedResultCache`, which the CLI can share.
+:class:`~repro.parallel.ResultCache`, which the CLI can share.
 
 Endpoints
 ---------
@@ -194,7 +195,7 @@ class ExperimentServer:
         Worker processes (``None``/0 = one per CPU).
     cache:
         Shared result cache: a directory path (roots a
-        :class:`~repro.parallel.ShardedResultCache`), a ready cache
+        :class:`~repro.parallel.ResultCache`), a ready cache
         instance, or ``None`` to serve without disk reuse.
     """
 

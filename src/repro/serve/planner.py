@@ -1,33 +1,29 @@
-"""Job parsing and point planning for the experiment server.
+"""Job parsing for the experiment server.
 
 A *job* is the JSON body of one ``POST /v1/jobs`` request: either a
 ``compare`` (one noisy config scored against its quiet twin) or a
-``sweep`` (nodes x patterns with shared quiet baselines).  The planner
-expands a job into independent *points* — frozen
-:class:`~repro.core.ExperimentConfig` objects keyed exactly like
-:meth:`repro.parallel.SweepExecutor.run_sweep` keys them — and later
-reassembles completed points into the same flat records
-:func:`repro.core.sweep_records` produces, so a served job is
-byte-identical (as sorted JSON records) to the CLI path.
-
-The expansion/assembly rules deliberately mirror ``run_sweep`` /
-``run_comparisons``: quiet twins are normalised through
-:func:`~repro.parallel.normalized_quiet_twin` so physically identical
-baselines collapse onto one point (and one cache/dedup key), and a
-missing quiet baseline surfaces as a ``MissingBaseline`` error rather
-than silently dropping the noisy point.
+``sweep`` (nodes x patterns with shared quiet baselines).
+:func:`parse_job` validates it into a :class:`Job`.  A job owns no
+planning logic: :meth:`Job.points` and :meth:`Job.assemble` are the
+executor's own :func:`~repro.parallel.plan_sweep` and
+:meth:`~repro.parallel.ComparisonPlan.assemble`, flattened by
+:func:`repro.core.flat_records`, so a served job is byte-identical
+(as sorted JSON records) to ``repro sweep`` and shares its point keys,
+labels, quiet-twin deduplication and ``MissingBaseline`` errors.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 from dataclasses import dataclass, field
 
-from ..core import ExperimentConfig
-from ..core.results import ComparisonResult, RunResult
+from ..core import ExperimentConfig, flat_records
+from ..core.results import RunResult
 from ..errors import ConfigError
+from ..noise import is_quiet
 from ..obs import oplog as _oplog
-from ..parallel.executor import _is_quiet, normalized_quiet_twin
+from ..parallel.plan import ComparisonPlan, PointPlan, plan_sweep
 
 __all__ = ["Job", "parse_job", "PointPlan"]
 
@@ -39,15 +35,6 @@ _CONFIG_FIELDS = ("app", "kernel", "network", "alignment", "seed",
 
 _JOB_KEYS = frozenset(_CONFIG_FIELDS) | {
     "kind", "nodes", "pattern", "patterns", "collectives", "trace"}
-
-
-@dataclass(frozen=True)
-class PointPlan:
-    """One independent simulation the job needs."""
-
-    key: tuple
-    config: ExperimentConfig
-    label: str
 
 
 @dataclass(frozen=True)
@@ -65,81 +52,30 @@ class Job:
     #: :mod:`repro.obs.reqtrace`).
     trace: bool = False
 
-    # -- expansion ---------------------------------------------------------
+    @functools.cached_property
+    def _plan(self) -> ComparisonPlan:
+        """The job's sweep plan (built once; assembly runs per point)."""
+        return plan_sweep(self.base, self.nodes, self.patterns)
+
     def points(self) -> list[PointPlan]:
-        """The independent simulations, quiet baselines deduplicated.
+        """The independent simulations, quiet baselines first and
+        deduplicated, keyed ``("quiet", p)`` / ``("noisy", p,
+        pattern)``."""
+        return list(self._plan.points)
 
-        Keys use the executor's scheme — ``("quiet", p)`` and
-        ``("noisy", p, pattern)`` — so labels, errors, and assembly all
-        speak the same coordinates.
-        """
-        plans: list[PointPlan] = []
-        seen: set[tuple] = set()
-        for p in self.nodes:
-            key = ("quiet", p)
-            if key in seen:
-                continue
-            seen.add(key)
-            twin = normalized_quiet_twin(
-                ExperimentConfig(**{**self._base_kwargs(), "nodes": p}))
-            plans.append(PointPlan(key, twin, f"quiet baseline P={p}"))
-        for p in self.nodes:
-            for pattern in self.patterns:
-                if _is_quiet(pattern):
-                    continue
-                key = ("noisy", p, pattern)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cfg = ExperimentConfig(**{**self._base_kwargs(), "nodes": p,
-                                          "noise_pattern": pattern})
-                plans.append(PointPlan(key, cfg, f"P={p} pattern={pattern}"))
-        return plans
-
-    def _base_kwargs(self) -> dict[str, _t.Any]:
-        import dataclasses
-
-        return {f.name: getattr(self.base, f.name)
-                for f in dataclasses.fields(self.base)}
-
-    # -- assembly ----------------------------------------------------------
     def assemble(self, points: _t.Mapping[tuple, RunResult]
                  ) -> tuple[list[dict[str, _t.Any]],
                             list[dict[str, _t.Any]]]:
         """Completed points -> ``(records, errors)``.
 
-        Records match :func:`repro.core.sweep_records` exactly: sorted
-        by ``(nodes, pattern)``, quiet cells are bare
-        :meth:`RunResult.as_dict`, noisy cells are
-        :meth:`ComparisonResult.as_dict`.  Noisy points whose quiet
-        baseline is missing become ``MissingBaseline`` errors.
+        Records match :func:`repro.core.sweep_records` exactly; noisy
+        points whose quiet baseline is missing become
+        ``MissingBaseline`` errors.
         """
-        results: dict[tuple[int, str], _t.Any] = {}
-        errors: list[dict[str, _t.Any]] = []
-        for p in self.nodes:
-            quiet = points.get(("quiet", p))
-            for pattern in self.patterns:
-                if _is_quiet(pattern):
-                    if quiet is not None:
-                        results[(p, pattern)] = quiet
-                    continue
-                noisy = points.get(("noisy", p, pattern))
-                if noisy is None:
-                    continue  # its own point error was already streamed
-                if quiet is None:
-                    errors.append({"label": f"P={p} pattern={pattern}",
-                                   "kind": "MissingBaseline",
-                                   "message": "quiet baseline failed"})
-                    continue
-                results[(p, pattern)] = ComparisonResult(quiet=quiet,
-                                                         noisy=noisy)
-        records = []
-        for (p, pattern), res in sorted(results.items()):
-            record = res.as_dict()
-            record.setdefault("nodes", p)
-            record.setdefault("pattern", pattern)
-            records.append(record)
-        return records, errors
+        results, missing = self._plan.assemble(points)
+        return flat_records(results), [
+            {"label": e.label, "kind": e.kind, "message": e.message}
+            for e in missing]
 
 
 def _expect(doc: dict[str, _t.Any], key: str, types: tuple[type, ...],
@@ -172,7 +108,7 @@ def parse_job(doc: _t.Any) -> Job:
         nodes_raw: _t.Any = _expect(doc, "nodes", (int,), 16)
         nodes = [nodes_raw]
         pattern = _expect(doc, "pattern", (str,), "2.5pct@10Hz")
-        if _is_quiet(pattern):
+        if is_quiet(pattern):
             raise ConfigError("compare jobs need a noisy 'pattern'")
         patterns = [pattern]
     else:

@@ -141,6 +141,17 @@ def test_unknown_collective_algorithm_is_an_error():
     assert "error:" in text
 
 
+def test_sweep_with_failed_points_names_them_and_exits_1():
+    code, text = run_cli(["sweep", "--app", "bsp", "--nodes", "2,4",
+                          "--patterns", "quiet,2.5pct@100Hz",
+                          "--faults", "crash=0@0ns,timeout=20us,retries=1"])
+    assert code == 1
+    summary = text.split("sweep: bsp", 1)[1]
+    for label in ("quiet baseline P=2", "quiet baseline P=4",
+                  "P=2 pattern=2.5pct@100Hz", "P=4 pattern=2.5pct@100Hz"):
+        assert f"{label} failed (FaultError): " in summary
+
+
 # -- commands end to end -----------------------------------------------------
 
 def test_list_shows_catalogue():

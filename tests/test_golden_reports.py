@@ -15,7 +15,8 @@ import pathlib
 
 import pytest
 
-from repro.harness import run_experiment
+from repro.harness import execution_policy, run_experiment, set_execution_policy
+from repro.parallel import ResultCache
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -57,3 +58,24 @@ def test_report_matches_golden(stem, request):
             f"{experiment_id} ({scale}) report drifted from its golden "
             f"copy.\n{diff}\nIf this change is intentional, rerun with "
             f"--regen-golden to update the golden files.")
+
+
+def test_e5_golden_from_cold_and_warm_cache(tmp_path):
+    """E5 runs its comparisons through the executor: its 20 comparisons
+    share 4 quiet baselines, and both a cold and a warm result cache
+    reproduce the golden report byte for byte."""
+    policy = execution_policy()
+    saved = (policy.workers, policy.cache)
+    cache = ResultCache(tmp_path)
+    set_execution_policy(cache=cache)
+    try:
+        cold = run_experiment("E5", "small").render()
+        stored = cache.stats.stores
+        warm = run_experiment("E5", "small").render()
+    finally:
+        policy.workers, policy.cache = saved
+    expected = (GOLDEN_DIR / "e5_small.txt").read_text()
+    assert cold == expected
+    assert warm == expected
+    assert stored == 4 + 20
+    assert cache.stats.hits == stored and cache.stats.stores == stored

@@ -21,7 +21,6 @@ from repro.parallel import (
     ResultCache,
     SweepExecutor,
     config_key,
-    normalized_quiet_twin,
 )
 
 BSP_SMALL = {"work_ns": 500_000, "iterations": 10}
@@ -93,11 +92,10 @@ def test_config_key_handles_instance_substrate():
         ExperimentConfig(kernel=KernelConfig(name="custom", hz=1000)))
 
 
-def test_normalized_quiet_twin_merges_alignments():
+def test_quiet_twin_merges_alignments():
     a = ExperimentConfig(noise_pattern="2.5pct@10Hz", alignment="staggered")
     b = ExperimentConfig(noise_pattern="2.5pct@10Hz", alignment="random")
-    assert config_key(normalized_quiet_twin(a)) == config_key(
-        normalized_quiet_twin(b))
+    assert config_key(a.quiet_twin()) == config_key(b.quiet_twin())
 
 
 # -- the cache --------------------------------------------------------------
@@ -394,9 +392,7 @@ def test_pooled_span_start_times_are_true_worker_stamps(monkeypatch):
 # -- sharded cache ----------------------------------------------------------
 
 def test_sharded_cache_layout_and_roundtrip(tmp_path):
-    from repro.parallel import ShardedResultCache
-
-    cache = ShardedResultCache(tmp_path)
+    cache = ResultCache(tmp_path)
     cfg = ExperimentConfig(app="bsp", seed=9)
     cache.put(cfg, "value")
     key = cache.key(cfg)
@@ -408,56 +404,13 @@ def test_sharded_cache_layout_and_roundtrip(tmp_path):
     assert len(cache) == 0
 
 
-def test_sharded_cache_migrates_flat_layout(tmp_path):
-    """Entries written by the flat layout are sharded on init and stay
-    readable throughout (server and old CLI can share a root)."""
-    from repro.parallel import ShardedResultCache
-
-    flat = ResultCache(tmp_path)
-    cfgs = [ExperimentConfig(app="bsp", seed=s) for s in range(5)]
-    for i, cfg in enumerate(cfgs):
-        flat.put(cfg, f"v{i}")
-    assert all((flat._dir / f"{flat.key(c)}.pkl").is_file() for c in cfgs)
-
-    sharded = ShardedResultCache(tmp_path)
-    # Flat files are gone, every entry now lives in its shard ...
-    assert not any(p.suffix == ".pkl" for p in sharded._dir.iterdir()
-                   if p.is_file())
-    for i, cfg in enumerate(cfgs):
-        key = sharded.key(cfg)
-        assert (sharded._dir / key[:2] / f"{key}.pkl").is_file()
-        assert sharded.get(cfg) == f"v{i}"
-    assert len(sharded) == len(cfgs)
-
-
-def test_sharded_cache_promotes_flat_entry_written_later(tmp_path):
-    """A flat entry appearing *after* migration (older writer sharing
-    the directory) is still served, and promoted on first read."""
-    from repro.parallel import ShardedResultCache
-
-    sharded = ShardedResultCache(tmp_path)
-    cfg = ExperimentConfig(app="bsp", seed=4)
-    ResultCache(tmp_path).put(cfg, "late")
-    assert sharded.get(cfg) == "late"
-    key = sharded.key(cfg)
-    assert (sharded._dir / key[:2] / f"{key}.pkl").is_file()
-    assert not (sharded._dir / f"{key}.pkl").exists()
-    assert sharded.stats.hits == 1 and sharded.stats.misses == 0
-
-
-def test_sharded_and_flat_caches_share_keys(tmp_path):
-    from repro.parallel import ShardedResultCache
-
-    cfg = ExperimentConfig(app="bsp", seed=11)
-    assert (ShardedResultCache(tmp_path).key(cfg)
-            == ResultCache(tmp_path).key(cfg))
-
-
 def test_executor_paths_root_sharded_caches(tmp_path):
-    from repro.parallel import ShardedResultCache
-
     ex = SweepExecutor(cache=tmp_path)
-    assert isinstance(ex.cache, ShardedResultCache)
+    assert isinstance(ex.cache, ResultCache)
+    cfg = ExperimentConfig(app="bsp", seed=5)
+    ex.cache.put(cfg, "value")
+    key = ex.cache.key(cfg)
+    assert (ex.cache._dir / key[:2] / f"{key}.pkl").is_file()
 
 
 def test_sharded_cache_sweep_identical_to_flat(tmp_path):
