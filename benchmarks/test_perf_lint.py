@@ -12,7 +12,6 @@ per-rule cost table.
 import time
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -24,13 +23,9 @@ FULL_TREE_FLOOR_S = 5.0
 
 
 def test_full_tree_lint_stays_interactive(benchmark):
-    baseline_file = REPO_ROOT / "detlint-baseline.json"
-    baseline = (Baseline.load(baseline_file)
-                if baseline_file.is_file() else None)
-
     def run():
         t0 = time.perf_counter()
-        report = lint_paths([SRC], baseline=baseline)
+        report = lint_paths([SRC])
         return report, time.perf_counter() - t0
 
     report, wall = benchmark.pedantic(run, rounds=1, iterations=1)

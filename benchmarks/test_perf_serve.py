@@ -153,6 +153,19 @@ def test_serve_load_1000_concurrent_requests(benchmark, tmp_path):
 #: Requests per arm of the obs-on vs obs-off throughput comparison.
 N_OBS_REQUESTS = 300
 
+#: Dark/lit arm pairs.  One arm is ~0.3-0.6 s of wall time, and a
+#: single dark-then-lit pair measured three things besides the observer
+#: effect: a full (generation-2) garbage collection of ~0.07 s that
+#: fires about every 600 requests, i.e. inside every other arm, so a
+#: fixed arm order hands it to the same arm each time; which arm runs
+#: first; and host speed drifting by up to 2x over tens of seconds on a
+#: shared machine.  Each arm therefore starts from a collected heap,
+#: pairs alternate which arm runs first, and the gate takes the median
+#: of the per-pair throughput ratios, so both arms of a ratio ran on
+#: the same host speed (the pairing discipline of Becker & Chakraborty,
+#: arXiv:1811.01412).
+OBS_PAIRS = 8
+
 #: Observability-on throughput must stay within this fraction of the
 #: zero-telemetry throughput (the "observer effect" budget — the same
 #: property E7 gates for the simulation layer, here for the service).
@@ -164,9 +177,12 @@ def test_serve_load_full_observability_on(benchmark, tmp_path):
     global metrics + det_check on, every 8th job requesting an
     end-to-end trace, the oplog ring collecting every request, and a
     sampler thread scraping ``/metrics?window=`` throughout (the
-    ``service-timeseries.json`` CI artifact).  Gates: zero errors,
-    p99 under the same floor as the dark run, and throughput within
-    ``OBS_THROUGHPUT_FLOOR`` of a paired zero-telemetry run."""
+    ``service-timeseries.json`` CI artifact).  ``OBS_PAIRS`` dark/lit
+    pairs run on one warm server, alternating which arm goes first.
+    Gates: zero errors, p99 of the lit requests under the same floor as
+    the dark run, and the median per-pair lit/dark throughput ratio at
+    least ``OBS_THROUGHPUT_FLOOR``."""
+    import gc
     import threading
 
     from repro import obs
@@ -174,6 +190,23 @@ def test_serve_load_full_observability_on(benchmark, tmp_path):
     jobs = [dict(_JOBS[i % len(_JOBS)]) for i in range(N_OBS_REQUESTS)]
     jobs_traced = [dict(j, trace=(i % 8 == 0))
                    for i, j in enumerate(jobs)]
+    timeseries = []
+
+    def sample(client, stop):
+        while not stop.is_set():
+            try:
+                doc = client.metrics(window=5)
+            except Exception:
+                break
+            timeseries.append({"serve": doc["serve"],
+                               "window": doc.get("window", {})})
+            stop.wait(0.2)
+
+    def timed(host, port, arm_jobs):
+        gc.collect()  # no arm inherits another arm's garbage
+        t0 = time.perf_counter()
+        lat, results = asyncio.run(_replay(host, port, arm_jobs))
+        return time.perf_counter() - t0, lat, results
 
     with BackgroundServer(workers=2, cache=str(tmp_path)) as bg:
         host, port = bg.address
@@ -182,79 +215,73 @@ def test_serve_load_full_observability_on(benchmark, tmp_path):
             _, stats = client.records(job)
             assert stats["errors"] == 0
 
-        def replay_dark():
-            return asyncio.run(_replay(host, port, jobs))
-
-        def replay_lit():
-            return asyncio.run(_replay(host, port, jobs_traced))
-
-        # Paired throughput arms, same mix, same warm cache.
-        t0 = time.perf_counter()
-        dark_lat, dark_results = replay_dark()
-        dark_s = time.perf_counter() - t0
-
-        obs.disable()
-        obs.configure(metrics=True, det_check=True)
-        timeseries = []
-        stop = threading.Event()
-
-        def sample():
-            while not stop.is_set():
-                try:
-                    doc = client.metrics(window=5)
-                except Exception:
-                    break
-                timeseries.append({"serve": doc["serve"],
-                                   "window": doc.get("window", {})})
-                stop.wait(0.2)
-
-        sampler = threading.Thread(target=sample, daemon=True)
-        sampler.start()
-        try:
-            t0 = time.perf_counter()
-            lit_lat, lit_results = benchmark.pedantic(replay_lit, rounds=1,
-                                                      iterations=1)
-            lit_s = time.perf_counter() - t0
-        finally:
-            stop.set()
-            sampler.join(timeout=5)
+        def lit_arm():
             obs.disable()
+            obs.configure(metrics=True, det_check=True)
+            stop = threading.Event()
+            sampler = threading.Thread(target=sample, args=(client, stop),
+                                       daemon=True)
+            sampler.start()
+            try:
+                return timed(host, port, jobs_traced)
+            finally:
+                stop.set()
+                sampler.join(timeout=5)
+                obs.disable()
 
+        def pairs():
+            dark, lit = [], []
+            for i in range(OBS_PAIRS):
+                if i % 2:
+                    lit.append(lit_arm())
+                    dark.append(timed(host, port, jobs))
+                else:
+                    dark.append(timed(host, port, jobs))
+                    lit.append(lit_arm())
+            return dark, lit
+
+        dark_arms, lit_arms = benchmark.pedantic(pairs, rounds=1,
+                                                 iterations=1)
+        lit_wall = sum(wall for wall, _lat, _res in lit_arms)
         with open("service-timeseries.json", "w") as f:
             json.dump({"samples": timeseries,
-                       "requests": N_OBS_REQUESTS,
-                       "wall_s": round(lit_s, 3)}, f, indent=2)
+                       "requests": N_OBS_REQUESTS * OBS_PAIRS,
+                       "wall_s": round(lit_wall, 3)}, f, indent=2)
         after = client.metrics()["serve"]
         errors = client.logs(level="error")
 
     # -- correctness under full observability --------------------------------
-    for results in (dark_results, lit_results):
+    for _wall, _lat, results in dark_arms + lit_arms:
         assert all(r is not None for r in results)
         for events in results:
             _, stats = job_records(events)
             assert stats and stats["errors"] == 0
-    traces = [e for events in lit_results for e in events
+    traces = [e for _wall, _lat, results in lit_arms
+              for events in results for e in events
               if e.get("event") == "trace"]
-    assert len(traces) == sum(1 for j in jobs_traced if j.get("trace"))
+    assert len(traces) == OBS_PAIRS * sum(1 for j in jobs_traced
+                                          if j.get("trace"))
     assert all(t["request_id"].startswith("r-") for t in traces)
     assert after["point_errors"] == 0
     assert errors["count"] == 0, f"error log not empty: {errors['events']}"
 
     # -- observer effect ------------------------------------------------------
-    dark_rps = N_OBS_REQUESTS / dark_s
-    lit_rps = N_OBS_REQUESTS / lit_s
-    ratio = lit_rps / dark_rps
-    p99 = _percentile(lit_lat, 0.99)
-    print(f"\nobs-on load: dark {dark_rps:.0f} req/s, lit "
-          f"{lit_rps:.0f} req/s (ratio {ratio:.3f}), p99 "
-          f"{p99 * 1e3:.1f}ms, {len(traces)} traced, "
-          f"{len(timeseries)} timeseries samples")
+    dark_rps = statistics.median(N_OBS_REQUESTS / w for w, _l, _r in dark_arms)
+    lit_rps = statistics.median(N_OBS_REQUESTS / w for w, _l, _r in lit_arms)
+    # Within a pair, lit/dark throughput is dark wall time / lit wall time.
+    ratio = statistics.median(dark[0] / lit[0]
+                              for dark, lit in zip(dark_arms, lit_arms))
+    p99 = _percentile([x for _w, lat, _r in lit_arms for x in lat], 0.99)
+    print(f"\nobs-on load ({OBS_PAIRS} alternating pairs): median dark "
+          f"{dark_rps:.0f} req/s, lit {lit_rps:.0f} req/s, median "
+          f"per-pair ratio {ratio:.3f}, p99 {p99 * 1e3:.1f}ms, "
+          f"{len(traces)} traced, {len(timeseries)} timeseries samples")
     assert p99 < P99_FLOOR_S, (
         f"p99 {p99:.3f}s breaches the {P99_FLOOR_S}s floor with "
         "observability on")
     assert ratio >= OBS_THROUGHPUT_FLOOR, (
         f"observability tax too high: {lit_rps:.0f} req/s lit vs "
-        f"{dark_rps:.0f} req/s dark (ratio {ratio:.3f} < "
+        f"{dark_rps:.0f} req/s dark (median per-pair ratio {ratio:.3f} < "
         f"{OBS_THROUGHPUT_FLOOR})")
 
 

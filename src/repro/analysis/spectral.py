@@ -26,11 +26,6 @@ class Spectrum:
     power: np.ndarray
     sample_rate_hz: float
 
-    def power_at(self, freq_hz: float) -> float:
-        """Power of the bin nearest ``freq_hz``."""
-        idx = int(np.argmin(np.abs(self.frequencies_hz - freq_hz)))
-        return float(self.power[idx])
-
 
 @dataclass(frozen=True, slots=True)
 class SpectralPeak:

@@ -20,7 +20,7 @@ Commands
 ``sweep --app pop --nodes 4,16,64 --patterns 2.5pct@10Hz,2.5pct@1000Hz``
     Scaling sweep with shared quiet baselines; prints the slowdown
     table (optionally ``--csv out.csv``).
-``lint [PATHS] [--json] [--baseline FILE]``
+``lint [PATHS] [--json] [--output FILE] [--profile host]``
     Run detlint, the project's AST-based determinism / sim-protocol
     static analyzer, over a source tree (defaults to ``src/repro``).
     Same engine as ``python -m repro.lint``; see

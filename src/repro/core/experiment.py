@@ -132,10 +132,6 @@ class ExperimentConfig:
         """
         return replace(self, noise_pattern="quiet", alignment="random")
 
-    def reliable_twin(self) -> "ExperimentConfig":
-        """The same experiment with no injected faults."""
-        return replace(self, faults=None)
-
 
 def run_experiment(config: ExperimentConfig,
                    *, return_tracer: bool = False

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.slowdown import SlowdownResult
-from ..analysis.stats import SeriesStats, summarize_series
 
 __all__ = ["RunResult", "ComparisonResult"]
 
@@ -32,15 +31,6 @@ class RunResult:
     @property
     def mean_iteration_ns(self) -> float:
         return float(self.iteration_durations_ns.mean())
-
-    @property
-    def max_iteration_ns(self) -> int:
-        return int(self.iteration_durations_ns.max())
-
-    def iteration_stats(self) -> SeriesStats:
-        """Stats over per-iteration *completion spans* (max across ranks)."""
-        spans = self.iteration_durations_ns.max(axis=0)
-        return summarize_series(spans)
 
     def as_dict(self) -> dict[str, _t.Any]:
         return {"app": self.app, "nodes": self.n_nodes,

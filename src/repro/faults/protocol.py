@@ -221,9 +221,3 @@ class ReliableTransport:
         timer = pending.timer
         if timer is not None and not timer.processed:
             timer.cancel()
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Messages currently awaiting acknowledgement."""
-        return len(self._pending)

@@ -80,8 +80,7 @@ def run(scale: Scale = "small", *, seed: int = 31) -> ExperimentReport:
                     "allreduce", repetitions=_reps_for(pattern, nodes,
                                                        base_reps),
                     message_size=8, algorithm=algo, gap_ns=500_000)
-                res = bench.run_auto(config, bulk_min_nodes=512,
-                                     tie_break="deterministic",
+                res = bench.run_auto(config, tie_break="deterministic",
                                      stats_out=stats)
                 if pattern == "quiet":
                     quiet_mean[(nodes, algo)] = res.mean_ns

@@ -44,9 +44,10 @@ def run(scale: Scale = "small", *, seed: int = 31) -> ExperimentReport:
                          else InjectionPlan(pattern, seed=seed))
             config = MachineConfig(n_nodes=p, kernel="lightweight",
                                    injection=injection, seed=seed)
-            # Beyond the generator's practical range the bulk-rank fast
-            # path (repro.sim.bulk) carries the curve; round-order tie
-            # resolution keeps the noisy large-P points on it (each
+            # The bulk-rank fast path (repro.sim.bulk) carries every
+            # qualifying point; strict ties fall back to the event path,
+            # and beyond the generator's practical range round-order tie
+            # resolution keeps the noisy points on the fast path (each
             # resolved tie deviates at most one NIC gap from the DES).
             tie = "deterministic" if p >= 1024 else "strict"
             res = CollectiveBenchmark("allreduce", repetitions=reps,

@@ -90,10 +90,6 @@ class AttributionSummary:
         return (self.total_noise_ns / self.total_wall_ns
                 if self.total_wall_ns else 0.0)
 
-    def fraction_of(self, source: str) -> float:
-        return (self.by_source.get(source, 0) / self.total_wall_ns
-                if self.total_wall_ns else 0.0)
-
 
 def summarize_attribution(attributions: _t.Sequence[IntervalAttribution]
                           ) -> AttributionSummary:

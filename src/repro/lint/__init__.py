@@ -18,16 +18,16 @@ boundaries.
 ========  ==========================================================
 DET001    wall-clock/entropy calls in sim-scoped modules
 DET002    global ``random`` module instead of ``sim/rng.py`` streams
-DET003    unordered set/dict iteration escaping into sim state †
+DET003    unordered set/dict iteration escaping into sim state
 DET004    ``id()``/object identity used for ordering or keying
-DET005    float accumulation (``sum``) over unordered iterables †
+DET005    float accumulation (``sum``) over unordered iterables
 DET006    ``os.environ`` reads inside sim-scoped code
 DET007    cross-module host-tainted value reaches sim scope
 DET008    mutable module-global written from sim-scoped code
 DET009    host-tainted default argument / dataclass field default
 SIM001    process generator called without ``env.process(...)``
 SIM002    ``yield`` of a non-Event inside a process generator
-PERF001   hot-path class missing ``__slots__`` †
+PERF001   hot-path class missing ``__slots__``
 PERF002   all-pairs rank loop outside topology precompute
 OBS001    telemetry call not behind the enabled-gate pattern
 ASYNC001  blocking call inside a coroutine
@@ -37,19 +37,14 @@ ASYNC004  thread-shared state accessed without a lock or queue
 ASYNC005  ``ContextVar.set`` without token reset in a finally
 ========  ==========================================================
 
-† mechanically fixable: ``repro lint --fix`` (``--diff`` previews the
-exact byte-span patches).
-
 Entry points: ``python -m repro.lint [paths]`` and ``repro lint``;
-findings can be suppressed inline (``# detlint: disable=DET003 --
-reason``) or grandfathered in ``detlint-baseline.json`` (kept tight by
-``--prune-baseline`` / ``--check-baseline``).  See
+every finding fails the run unless a justified inline suppression
+(``# detlint: disable=DET003 -- reason``) covers it.  See
 docs/STATIC_ANALYSIS.md for the full catalog with bad/good examples,
 the taint sources/sanitizers/sinks table, the scope map, and the
-suppression/baseline policy.
+suppression policy.
 """
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .callgraph import ProjectIndex, build_index, module_name
 from .cli import main
 from .engine import (
@@ -61,7 +56,6 @@ from .engine import (
     lint_source,
     module_scope,
 )
-from .fixes import FIXERS, FixResult, Patch, apply_patches, fix_tree
 from .report import SCHEMA_VERSION, render_json, render_text
 from .rules import RULES, Rule, active_rules, rule, rule_catalog
 from .taint import TaintAnalysis
@@ -71,8 +65,6 @@ __all__ = [
     "lint_source", "module_scope", "HOT_PATH_MODULES",
     "Rule", "RULES", "rule", "active_rules", "rule_catalog",
     "ProjectIndex", "build_index", "module_name", "TaintAnalysis",
-    "Patch", "FixResult", "FIXERS", "fix_tree", "apply_patches",
-    "Baseline", "DEFAULT_BASELINE_NAME",
     "render_text", "render_json", "SCHEMA_VERSION",
     "main",
 ]

@@ -1,12 +1,11 @@
 """detlint command line: ``python -m repro.lint`` / ``repro lint``.
 
-Exit codes: 0 = clean (modulo baseline and inline suppressions),
-1 = non-baselined findings (or a stale baseline under
-``--check-baseline``), 2 = usage/configuration error.
+Exit codes: 0 = clean (modulo inline suppressions), 1 = findings,
+2 = usage/configuration error.
 
 Reports go to ``out`` (stdout); diagnostics — bad paths, unknown
-rules, baseline errors — go to ``err`` (stderr), so ``--json`` output
-is exactly one parseable document with nothing interleaved.
+rules — go to ``err`` (stderr), so ``--json`` output is exactly one
+parseable document with nothing interleaved.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ import sys
 import typing as _t
 from pathlib import Path
 
-from ..errors import ConfigError
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .engine import lint_paths
-from .fixes import fix_tree
 from .report import render_json, render_text
 from .rules import RULES, rule_catalog
 
@@ -39,51 +35,16 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="also write the report to FILE (useful for "
                              "CI artifacts; format follows --json)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="baseline file of grandfathered findings "
-                             f"(default: ./{DEFAULT_BASELINE_NAME} when "
-                             "present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to the baseline "
-                             "file and exit 0")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="rewrite the baseline dropping fingerprints "
-                             "that no longer fire, then exit 0")
-    parser.add_argument("--check-baseline", action="store_true",
-                        help="exit 1 if the baseline contains stale "
-                             "entries (fingerprints that no longer fire)")
-    parser.add_argument("--show-baselined", action="store_true",
-                        help="also print baselined findings (text mode)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("--explain", metavar="RULE", default=None,
                         help="print the full catalog entry for RULE "
                              "and exit")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes for fixable rules "
-                             "(exact byte-span patches), then re-lint")
-    parser.add_argument("--diff", action="store_true",
-                        help="preview the --fix patches as unified "
-                             "diffs without writing anything")
-    parser.add_argument("--suppress", metavar="RULES", default=None,
-                        help="with --fix/--diff: insert inline "
-                             "suppression comments (with a TODO "
-                             "justification stub) for these "
-                             "comma-separated rule ids instead of "
-                             "rewriting")
     parser.add_argument("--profile", choices=("sim", "host", "neutral"),
                         default=None,
                         help="override the path-derived scope for every "
                              "file ('host' relaxes sim-only rules — the "
                              "CI profile for tests/ and benchmarks/)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analyze files on N threads (output is "
-                             "identical to a serial run)")
-    parser.add_argument("--stats", action="store_true",
-                        help="append per-rule cost accounting to the "
-                             "text report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,11 +65,8 @@ def _default_paths() -> list[str]:
 def _render_rule_catalog() -> str:
     lines = []
     for r in rule_catalog():
-        flags = f"scopes: {r['scopes']}"
-        if r["fixable"]:
-            flags += ", fixable"
         lines.append(f"{r['id']} [{r['severity']}] "
-                     f"({flags}) — {r['summary']}")
+                     f"(scopes: {r['scopes']}) — {r['summary']}")
         doc = r["doc"].splitlines()
         if doc:
             lines.append(f"    {doc[0].strip()}")
@@ -118,20 +76,9 @@ def _render_rule_catalog() -> str:
 def _render_explain(rule_id: str) -> str:
     entry = next(r for r in rule_catalog() if r["id"] == rule_id)
     lines = [f"{entry['id']} [{entry['severity']}] — {entry['summary']}",
-             f"scopes: {entry['scopes']}"
-             + ("   (fixable: `repro lint --fix`)"
-                if entry["fixable"] else ""),
-             ""]
+             f"scopes: {entry['scopes']}", ""]
     lines.extend(entry["doc"].splitlines())
     return "\n".join(lines).rstrip() + "\n"
-
-
-def _resolve_baseline_path(args: argparse.Namespace) -> str | None:
-    if args.baseline is not None:
-        return args.baseline
-    if not args.no_baseline and Path(DEFAULT_BASELINE_NAME).is_file():
-        return DEFAULT_BASELINE_NAME
-    return None
 
 
 def run_lint(args: argparse.Namespace, out: _t.TextIO,
@@ -148,12 +95,6 @@ def run_lint(args: argparse.Namespace, out: _t.TextIO,
             return 2
         out.write(_render_explain(args.explain))
         return 0
-    if args.suppress and not (args.fix or args.diff):
-        err.write("error: --suppress requires --fix or --diff\n")
-        return 2
-    if args.jobs < 1:
-        err.write("error: --jobs must be >= 1\n")
-        return 2
 
     paths = args.paths or _default_paths()
     for p in paths:
@@ -161,77 +102,9 @@ def run_lint(args: argparse.Namespace, out: _t.TextIO,
             err.write(f"error: no such path: {p}\n")
             return 2
 
-    baseline_path = _resolve_baseline_path(args)
-    baseline = None
-    if baseline_path and not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(baseline_path)
-
-    if args.prune_baseline or args.check_baseline:
-        if baseline is None:
-            err.write("error: no baseline file to "
-                      f"{'prune' if args.prune_baseline else 'check'} "
-                      f"(looked for ./{DEFAULT_BASELINE_NAME})\n")
-            return 2
-        report = lint_paths(paths, profile=args.profile, jobs=args.jobs)
-        fired = {f.fingerprint for f in report.findings}
-        stale = baseline.stale_entries(fired)
-        if args.prune_baseline:
-            baseline.pruned(fired).dump(baseline_path)
-            out.write(f"detlint: pruned {len(stale)} stale entr"
-                      f"{'y' if len(stale) == 1 else 'ies'} from "
-                      f"{baseline_path} ({len(baseline) - len(stale)} "
-                      "kept)\n")
-            return 0
-        if stale:
-            for e in stale:
-                out.write(f"stale baseline entry: {e.get('rule', '?')} "
-                          f"{e.get('path', '?')} "
-                          f"[{e['fingerprint']}]\n")
-            out.write(f"detlint: {len(stale)} stale baseline entr"
-                      f"{'y' if len(stale) == 1 else 'ies'}; run "
-                      "`repro lint --prune-baseline`\n")
-            return 1
-        out.write(f"detlint: baseline is tight "
-                  f"({len(baseline)} entr"
-                  f"{'y' if len(baseline) == 1 else 'ies'}, 0 stale)\n")
-        return 0
-
-    if args.fix or args.diff:
-        suppress = tuple(s.strip() for s in (args.suppress or "").split(",")
-                         if s.strip())
-        for rid in suppress:
-            if rid not in RULES:
-                err.write(f"error: unknown rule {rid!r} in --suppress\n")
-                return 2
-        result = fix_tree(paths, suppress=suppress, baseline=baseline,
-                          profile=args.profile, write=not args.diff)
-        if args.diff:
-            for norm in sorted(result.diffs):
-                out.write(result.diffs[norm])
-            out.write(f"detlint: {result.patches} fix(es) in "
-                      f"{result.changed_files} file(s) (preview; "
-                      "nothing written)\n")
-            return 0
-        out.write(f"detlint: applied {result.patches} fix(es) in "
-                  f"{result.changed_files} file(s)\n")
-        # Fall through: re-lint the fixed tree so the exit code and
-        # report reflect what is left after the mechanical pass.
-
-    report = lint_paths(paths, baseline=baseline, profile=args.profile,
-                        jobs=args.jobs)
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        Baseline.from_findings(report.findings).dump(target)
-        out.write(f"detlint: wrote {len(report.findings)} finding(s) "
-                  f"to {target}\n")
-        return 0
-
+    report = lint_paths(paths, profile=args.profile)
     text = (render_json(report, paths=[str(p) for p in paths])
-            if args.json
-            else render_text(report,
-                             verbose_baseline=args.show_baselined,
-                             stats=args.stats))
+            if args.json else render_text(report))
     out.write(text)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -244,9 +117,4 @@ def main(argv: _t.Sequence[str] | None = None,
     out = out or sys.stdout
     err = err if err is not None else (sys.stderr if out is sys.stdout
                                        else out)
-    args = build_parser().parse_args(argv)
-    try:
-        return run_lint(args, out, err)
-    except ConfigError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
+    return run_lint(build_parser().parse_args(argv), out, err)

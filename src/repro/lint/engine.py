@@ -1,14 +1,12 @@
-"""detlint engine: file walking, scope map, suppressions, fingerprints.
+"""detlint engine: file walking, scope map, suppressions.
 
 One :class:`ModuleUnderLint` is built per analyzed file (source text,
 parsed AST, parent links, scope classification); every registered rule
 (:mod:`repro.lint.rules`) gets a chance to emit :class:`Finding`
 objects against it.  The engine then applies inline suppressions
 (``# detlint: disable=DET003`` on the offending line, or
-``# detlint: disable-next=DET003`` on the line above) and assigns each
-surviving finding a line-number-independent fingerprint so a checked-in
-baseline (:mod:`repro.lint.baseline`) keeps grandfathered findings from
-failing CI without pinning them to exact positions.
+``# detlint: disable-next=DET003`` on the line above); every finding
+that survives fails the run.
 
 Scope map
 ---------
@@ -35,11 +33,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import re
 import time
 import typing as _t
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 __all__ = ["Finding", "ModuleUnderLint", "LintReport", "module_scope",
@@ -90,13 +86,6 @@ class Finding:
     line: int
     col: int
     message: str
-    line_text: str = ""
-    fingerprint: str = ""
-    baselined: bool = False
-    #: AST node the fixer layer rewrites (None for unfixable findings);
-    #: excluded from equality, hashing, and the JSON report.
-    fix_node: _t.Any = dataclasses.field(
-        default=None, compare=False, repr=False)
 
     def format(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
@@ -105,8 +94,7 @@ class Finding:
     def as_dict(self) -> dict[str, _t.Any]:
         return {"rule": self.rule, "severity": self.severity,
                 "path": self.path, "line": self.line, "col": self.col,
-                "message": self.message, "fingerprint": self.fingerprint,
-                "baselined": self.baselined}
+                "message": self.message}
 
 
 class ModuleUnderLint:
@@ -116,7 +104,6 @@ class ModuleUnderLint:
         self.source = source
         self.path = path  # normalized (repro/...) posix path
         self.scope = scope
-        self.lines = source.splitlines()
         self.tree = ast.parse(source)  # caller handles SyntaxError
         #: child AST node -> parent AST node (identity-keyed).
         self.parents: dict[ast.AST, ast.AST] = {}
@@ -164,30 +151,17 @@ class ModuleUnderLint:
                 return cur
         return None
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
 
 @dataclasses.dataclass
 class LintReport:
     """Outcome of one :func:`lint_paths` run."""
 
     findings: list[Finding] = dataclasses.field(default_factory=list)
-    baselined: list[Finding] = dataclasses.field(default_factory=list)
     suppressed: int = 0
     files: int = 0
-    #: rule id -> cumulative seconds spent in its ``check`` pass
-    #: (``--stats``; kept out of the JSON report so it stays
-    #: byte-stable across runs).
+    #: rule id -> cumulative seconds spent in its ``check`` pass (kept
+    #: out of the JSON report so it stays byte-stable across runs).
     rule_costs: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: normalized path -> analyzed module (the fixer layer needs the
-    #: source/AST that produced each finding).
-    modules: dict[str, "ModuleUnderLint"] = dataclasses.field(
-        default_factory=dict)
-    #: normalized path -> on-disk path, for writing fixes back.
-    file_of: dict[str, Path] = dataclasses.field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -228,7 +202,7 @@ def normalize_path(path: str | Path) -> tuple[str, tuple[str, ...]]:
 
     The display path is rooted at the ``repro`` package
     (``repro/sim/core.py``) whenever a ``repro`` component is present,
-    so fingerprints are stable across checkouts and install layouts.
+    so reports are stable across checkouts and install layouts.
     ``tests/`` and ``benchmarks/`` trees root the same way (the CI
     lint gate analyzes them under the relaxed host profile).
     """
@@ -264,41 +238,30 @@ def _suppressions(source: str) -> dict[int, frozenset[str] | None]:
     return out
 
 
-def _fingerprint(rule: str, path: str, text: str, occurrence: int) -> str:
-    payload = f"{rule}\x1f{path}\x1f{text.strip()}\x1f{occurrence}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _parse(source: str, norm: str, scope: str) -> ModuleUnderLint | Finding:
+    """The analyzable module, or an :data:`PARSE_ERROR_RULE` finding."""
+    try:
+        return ModuleUnderLint(source, norm, scope)
+    except SyntaxError as exc:
+        return Finding(PARSE_ERROR_RULE, "error", norm, exc.lineno or 1,
+                       (exc.offset or 1) - 1, f"syntax error: {exc.msg}")
 
 
-def _assign_fingerprints(findings: list[Finding]) -> list[Finding]:
-    """Fill in content-based fingerprints (line-number independent).
-
-    Identical (rule, path, line text) triples are disambiguated by
-    occurrence index in line order, so moving a finding does not change
-    its fingerprint but duplicating it does add a new one.
-    """
-    seen: dict[tuple[str, str, str], int] = {}
-    out = []
-    for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = (f.rule, f.path, f.line_text.strip())
-        occ = seen.get(key, 0)
-        seen[key] = occ + 1
-        out.append(dataclasses.replace(
-            f, fingerprint=_fingerprint(f.rule, f.path, f.line_text, occ)))
-    return out
+def _position(f: Finding) -> tuple[str, int, int, str]:
+    return (f.path, f.line, f.col, f.rule)
 
 
 def _run_rules(mod: ModuleUnderLint, rules: _t.Sequence[_t.Any],
-               costs: dict[str, float] | None = None) -> list[Finding]:
-    """Rule pass over one module, with optional per-rule timing."""
+               costs: dict[str, float]) -> list[Finding]:
+    """Rule pass over one module, adding per-rule time to ``costs``."""
     raw: list[Finding] = []
     for rule in rules:
         if not (mod.scope in rule.scopes or "*" in rule.scopes):
             continue
         t0 = time.perf_counter()
         raw.extend(rule.check(mod))
-        if costs is not None:
-            costs[rule.id] = (costs.get(rule.id, 0.0)
-                              + time.perf_counter() - t0)
+        costs[rule.id] = (costs.get(rule.id, 0.0)
+                          + time.perf_counter() - t0)
     return raw
 
 
@@ -323,7 +286,7 @@ def lint_source(source: str, path: str | Path = "fixture.py", *,
     """Analyze one source string; returns ``(findings, n_suppressed)``.
 
     ``scope`` overrides the path-derived scope — fixtures in tests pass
-    ``scope="sim"`` explicitly.  Findings carry fingerprints; inline
+    ``scope="sim"`` explicitly.  Findings are sorted by position; inline
     suppressions have already been applied (their count is returned).
 
     The cross-module rules see an index containing only this one
@@ -335,23 +298,18 @@ def lint_source(source: str, path: str | Path = "fixture.py", *,
     from .rules import active_rules
 
     norm, rel = normalize_path(path)
-    if scope is None:
-        scope = module_scope(rel)
-    try:
-        mod = ModuleUnderLint(source, norm, scope)
-    except SyntaxError as exc:
-        finding = Finding(PARSE_ERROR_RULE, "error", norm,
-                          exc.lineno or 1, (exc.offset or 1) - 1,
-                          f"syntax error: {exc.msg}")
-        return _assign_fingerprints([finding]), 0
+    mod = _parse(source, norm, scope if scope is not None
+                 else module_scope(rel))
+    if isinstance(mod, Finding):
+        return [mod], 0
 
     rule_list = list(rules) if rules is not None else active_rules()
     index = build_index([mod])
     for rule in rule_list:
         rule.index = index
-    raw = _run_rules(mod, rule_list)
-    kept, n_suppressed = _apply_suppressions(source, raw)
-    return _assign_fingerprints(kept), n_suppressed
+    kept, n_suppressed = _apply_suppressions(
+        source, _run_rules(mod, rule_list, {}))
+    return sorted(kept, key=_position), n_suppressed
 
 
 def iter_python_files(paths: _t.Iterable[str | Path]) -> list[Path]:
@@ -369,9 +327,7 @@ def iter_python_files(paths: _t.Iterable[str | Path]) -> list[Path]:
 
 def lint_paths(paths: _t.Iterable[str | Path], *,
                rules: _t.Iterable[_t.Any] | None = None,
-               baseline: _t.Any = None,
-               profile: str | None = None,
-               jobs: int = 1) -> LintReport:
+               profile: str | None = None) -> LintReport:
     """Analyze every .py file under ``paths`` against the rule set.
 
     Two-pass: an index pass parses every file and builds the
@@ -380,78 +336,33 @@ def lint_paths(paths: _t.Iterable[str | Path], *,
     index injected — this is what lets DET007 see a host-clock helper
     defined in one module and called from another.
 
-    ``baseline`` is a :class:`repro.lint.baseline.Baseline` (or
-    ``None``); baselined findings are reported separately and do not
-    make the run dirty.  ``profile`` overrides the path-derived scope
-    for every file (``"host"`` relaxes sim-only rules for
-    tests/benchmarks).  ``jobs > 1`` parses and analyzes files on a
-    thread pool; results are merged in sorted-file order, so output is
-    identical to a serial run.
+    ``profile`` overrides the path-derived scope for every file
+    (``"host"`` relaxes sim-only rules for tests/benchmarks).
     """
     from .callgraph import build_index
     from .rules import active_rules
 
     rule_list = list(rules) if rules is not None else active_rules()
-    files = iter_python_files(paths)
-    report = LintReport()
-
-    _Loaded = tuple  # (file, source, norm, mod-or-None, err-or-None)
-
-    def _load(file: Path) -> _Loaded:
-        source = file.read_text(encoding="utf-8")
+    parsed: list[ModuleUnderLint | Finding] = []
+    for file in iter_python_files(paths):
         norm, rel = normalize_path(file)
-        file_scope = profile if profile is not None else module_scope(rel)
-        try:
-            return file, source, norm, \
-                ModuleUnderLint(source, norm, file_scope), None
-        except SyntaxError as exc:
-            err = Finding(PARSE_ERROR_RULE, "error", norm,
-                          exc.lineno or 1, (exc.offset or 1) - 1,
-                          f"syntax error: {exc.msg}")
-            return file, source, norm, None, err
+        parsed.append(_parse(file.read_text(encoding="utf-8"), norm,
+                             profile if profile is not None
+                             else module_scope(rel)))
 
-    def _analyze(entry: _Loaded) -> tuple[list[Finding], int,
-                                          dict[str, float]]:
-        _file, source, _norm, mod, err = entry
-        if mod is None:
-            return _assign_fingerprints([err]), 0, {}
-        costs: dict[str, float] = {}
-        raw = _run_rules(mod, rule_list, costs)
-        kept, n_sup = _apply_suppressions(source, raw)
-        return _assign_fingerprints(kept), n_sup, costs
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            loaded = list(pool.map(_load, files))
-    else:
-        loaded = [_load(f) for f in files]
-
-    index = build_index(m for _f, _s, _n, m, _e in loaded
-                        if m is not None)
+    index = build_index(m for m in parsed
+                        if isinstance(m, ModuleUnderLint))
     for rule in rule_list:
         rule.index = index
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            analyzed = list(pool.map(_analyze, loaded))
-    else:
-        analyzed = [_analyze(e) for e in loaded]
-
-    for entry, (findings, n_sup, costs) in zip(loaded, analyzed):
-        file, _source, norm, mod, _err = entry
-        report.files += 1
+    report = LintReport(files=len(parsed))
+    for mod in parsed:
+        if isinstance(mod, Finding):
+            report.findings.append(mod)
+            continue
+        kept, n_sup = _apply_suppressions(
+            mod.source, _run_rules(mod, rule_list, report.rule_costs))
+        report.findings.extend(kept)
         report.suppressed += n_sup
-        if mod is not None:
-            report.modules[norm] = mod
-            report.file_of[norm] = Path(file)
-        for rid, cost in costs.items():
-            report.rule_costs[rid] = report.rule_costs.get(rid, 0.0) + cost
-        for f in findings:
-            if baseline is not None and baseline.contains(f):
-                report.baselined.append(
-                    dataclasses.replace(f, baselined=True))
-            else:
-                report.findings.append(f)
-    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    report.baselined.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    report.findings.sort(key=_position)
     return report

@@ -1,8 +1,8 @@
 """detlint reporters: human text and machine-readable JSON.
 
 The JSON schema is versioned and covered by
-``tests/test_lint.py::test_json_schema_stability`` — additions bump
-``SCHEMA_VERSION``; existing keys never change meaning.
+``tests/test_lint.py::test_json_report_schema_is_stable`` — a changed
+key set bumps ``SCHEMA_VERSION``; existing keys never change meaning.
 """
 
 from __future__ import annotations
@@ -15,70 +15,49 @@ from .rules import rule_catalog
 
 __all__ = ["SCHEMA_VERSION", "render_text", "render_json"]
 
-#: v2: findings are globally sorted (active and baselined merged into
-#: one (path, line, col, rule) order) with a guaranteed trailing
-#: newline, and rule entries carry ``fixable``.  Run-varying data
-#: (per-rule timings) is deliberately excluded so two runs over the
-#: same tree produce byte-identical documents.
-SCHEMA_VERSION = 2
+#: v3: the baseline and auto-fix are gone, so findings lose
+#: ``fingerprint``/``baselined``, rule entries lose ``fixable`` and the
+#: summary loses ``baselined``.  Findings stay globally sorted in
+#: (path, line, col, rule) order with a guaranteed trailing newline;
+#: run-varying data (per-rule timings) is deliberately excluded so two
+#: runs over the same tree produce byte-identical documents.
+SCHEMA_VERSION = 3
 
 
-def render_text(report: LintReport, *, verbose_baseline: bool = False,
-                stats: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """One line per finding plus a summary tail (empty-safe)."""
     lines = [f.format() for f in report.findings]
-    if verbose_baseline:
-        lines.extend(f.format() + "  [baselined]" for f in report.baselined)
     by_rule = report.by_rule()
     tail = (f"detlint: {len(report.findings)} finding(s) in "
             f"{report.files} file(s)")
     if by_rule:
         tail += " (" + ", ".join(f"{r}: {n}" for r, n in by_rule.items()) \
             + ")"
-    extras = []
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} baselined")
     if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed inline")
-    if extras:
-        tail += " [" + ", ".join(extras) + "]"
+        tail += f" [{report.suppressed} suppressed inline]"
     lines.append(tail)
-    if stats and report.rule_costs:
-        lines.append("per-rule cost:")
-        total = sum(report.rule_costs.values())
-        for rid, cost in sorted(report.rule_costs.items(),
-                                key=lambda kv: (-kv[1], kv[0])):
-            share = 100 * cost / total if total else 0.0
-            lines.append(f"  {rid:9s} {1000 * cost:8.1f} ms "
-                         f"({share:4.1f}%)")
     return "\n".join(lines) + "\n"
 
 
 def render_json(report: LintReport, *, paths: _t.Sequence[str] = ()) -> str:
     """Byte-stable machine-readable report.
 
-    Sorted keys, globally sorted findings (active and baselined in one
-    (path, line, col, rule) order), trailing newline, and no
-    run-varying data — two runs over an unchanged tree are
-    byte-identical, so CI artifact diffs mean something.
+    Sorted keys, findings in (path, line, col, rule) order, trailing
+    newline, and no run-varying data — two runs over an unchanged tree
+    are byte-identical, so CI artifact diffs mean something.
     """
-    merged = sorted(list(report.findings) + list(report.baselined),
-                    key=lambda f: (f.path, f.line, f.col, f.rule,
-                                   f.baselined))
     doc = {
         "tool": "detlint",
         "schema_version": SCHEMA_VERSION,
         "paths": list(paths),
         "rules": {r["id"]: {"severity": r["severity"],
                             "summary": r["summary"],
-                            "scopes": r["scopes"],
-                            "fixable": r["fixable"]}
+                            "scopes": r["scopes"]}
                   for r in rule_catalog()},
-        "findings": [f.as_dict() for f in merged],
+        "findings": [f.as_dict() for f in report.findings],
         "summary": {
             "files": report.files,
             "active": len(report.findings),
-            "baselined": len(report.baselined),
             "suppressed": report.suppressed,
             "by_rule": report.by_rule(),
             "clean": report.clean,

@@ -8,7 +8,7 @@ the :func:`rule` decorator; ``active_rules()`` returns one instance of
 every registered rule, and the CLI's ``--list-rules`` renders this
 catalog from the classes' docstrings.
 
-Every message is fixer-grade: it names the sanctioned alternative
+Every message is actionable: it names the sanctioned alternative
 (``env.now``, ``sim/rng.py`` streams, ``sorted(...)``, ``env.process``,
 the telemetry gate) rather than just pointing at the hazard.  See
 docs/STATIC_ANALYSIS.md for one bad/good example per rule.
@@ -33,9 +33,6 @@ class Rule:
     #: Module scopes the rule applies to ("sim", "host", "neutral",
     #: or "*" for every scope).
     scopes: tuple[str, ...] = ("sim",)
-    #: True when :mod:`repro.lint.fixes` has a mechanical rewrite for
-    #: this rule (``repro lint --fix``).
-    fixable: bool = False
     #: True when the rule reads the cross-module symbol table; such
     #: rules see a single-module index under :func:`lint_source` and
     #: the full project index under :func:`lint_paths`.
@@ -48,12 +45,10 @@ class Rule:
         raise NotImplementedError  # pragma: no cover - abstract
 
     def finding(self, mod: ModuleUnderLint, node: ast.AST,
-                message: str, *, fix_node: ast.AST | None = None) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        return Finding(self.id, self.severity, mod.path, line, col,
-                       message, line_text=mod.line_text(line),
-                       fix_node=fix_node)
+                message: str) -> Finding:
+        return Finding(self.id, self.severity, mod.path,
+                       getattr(node, "lineno", 1),
+                       getattr(node, "col_offset", 0), message)
 
 
 #: rule id -> rule class (the plugin registry).
@@ -80,7 +75,7 @@ def active_rules(ids: _t.Iterable[str] | None = None) -> list[Rule]:
 def rule_catalog() -> list[dict[str, _t.Any]]:
     """Stable description of every rule (id, severity, summary, doc)."""
     return [{"id": rid, "severity": cls.severity, "summary": cls.summary,
-             "scopes": ",".join(cls.scopes), "fixable": cls.fixable,
+             "scopes": ",".join(cls.scopes),
              "doc": (cls.__doc__ or "").strip()}
             for rid, cls in sorted(RULES.items())]
 
@@ -260,7 +255,6 @@ class UnorderedIterationEscapes(Rule):
 
     id = "DET003"
     summary = "unordered set/dict iteration escapes into sim state"
-    fixable = True
 
     def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
         for node in ast.walk(mod.tree):
@@ -277,7 +271,7 @@ class UnorderedIterationEscapes(Rule):
                         "iterating a set is hash-order-dependent "
                         "(varies with PYTHONHASHSEED across "
                         "processes); iterate `sorted(...)` of it or "
-                        "use an ordered container", fix_node=it)
+                        "use an ordered container")
             if isinstance(node, (ast.For, ast.AsyncFor)) \
                     and isinstance(node.iter, ast.Call) \
                     and isinstance(node.iter.func, ast.Attribute) \
@@ -348,7 +342,6 @@ class FloatSumOverUnordered(Rule):
 
     id = "DET005"
     summary = "sum()/fsum() over a set expression (order-dependent floats)"
-    fixable = True
 
     def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
         for node in ast.walk(mod.tree):
@@ -358,23 +351,17 @@ class FloatSumOverUnordered(Rule):
             if name not in ("sum", "math.fsum"):
                 continue
             arg = node.args[0]
-            fix_target: ast.AST | None = None
-            hazard = _is_set_expr(mod, arg)
-            if hazard:
-                fix_target = arg
-            elif isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
-                for gen in arg.generators:
-                    if _is_set_expr(mod, gen.iter):
-                        hazard = True
-                        fix_target = gen.iter
-                        break
+            hazard = _is_set_expr(mod, arg) or (
+                isinstance(arg, (ast.GeneratorExp, ast.ListComp))
+                and any(_is_set_expr(mod, gen.iter)
+                        for gen in arg.generators))
             if hazard:
                 yield self.finding(
                     mod, node,
                     f"`{name}()` over a set accumulates floats in "
                     "hash order; wrap the set in `sorted(...)` (or "
                     "accumulate over an ordered sequence) so the "
-                    "result is bit-stable", fix_node=fix_target)
+                    "result is bit-stable")
 
 
 @rule
@@ -547,7 +534,6 @@ class MissingSlots(Rule):
     severity = "warning"
     summary = "hot-path class missing __slots__"
     scopes = ("sim", "host")
-    fixable = True
 
     def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
         if not mod.is_hot_path:
@@ -581,8 +567,7 @@ class MissingSlots(Rule):
                     f"hot-path class `{node.name}` has no __slots__; "
                     "declare `__slots__ = (...)` (or "
                     "`@dataclass(slots=True)`) to avoid a per-instance "
-                    "__dict__ in the event-dispatch path",
-                    fix_node=node)
+                    "__dict__ in the event-dispatch path")
 
 
 _RANK_COUNT_TOKENS = ("n_nodes", "n_ranks", "nodes", "ranks")

@@ -43,7 +43,6 @@ below consume:
 from __future__ import annotations
 
 import ast
-import threading
 import typing as _t
 
 from .callgraph import ProjectIndex, module_name
@@ -125,17 +124,14 @@ class TaintAnalysis:
         }
         self._run()
 
-    _of_lock = threading.Lock()
-
     @classmethod
     def of(cls, index: ProjectIndex) -> "TaintAnalysis":
-        """Fixpoint for ``index``, computed once even under
-        ``lint_paths(jobs=N)`` (rules on different threads share it)."""
-        with cls._of_lock:
-            cached = getattr(index, "_taint_analysis", None)
-            if cached is None:
-                cached = cls(index)
-                index._taint_analysis = cached  # type: ignore[attr-defined]
+        """Fixpoint for ``index``, computed once and shared by every
+        rule that reads it."""
+        cached = getattr(index, "_taint_analysis", None)
+        if cached is None:
+            cached = cls(index)
+            index._taint_analysis = cached  # type: ignore[attr-defined]
         return cached
 
     # -- fixpoint ----------------------------------------------------------

@@ -111,16 +111,16 @@ class CollectiveBenchmark:
 
     # -- driver ----------------------------------------------------------------------
     def run_auto(self, config, *, mode: str = "auto",
-                 bulk_min_nodes: int = 512, tie_break: str = "strict",
+                 tie_break: str = "strict",
                  stats_out: dict | None = None) -> CollectiveBenchResult:
         """Run from a :class:`repro.core.MachineConfig`, choosing a path.
 
-        ``mode="auto"`` (default) takes the bulk-rank fast path
-        (:mod:`repro.sim.bulk`) when the workload qualifies *and* the
-        machine has at least ``bulk_min_nodes`` ranks — below that the
-        generator path is already fast and exercises the full event
-        machinery; ``mode="bulk"`` requires the fast path (raising with
-        the disqualifying reason otherwise); ``mode="generator"``
+        ``mode="auto"`` (default) picks the engine by capability, not
+        size: the bulk-rank fast path (:mod:`repro.sim.bulk`) whenever
+        the workload qualifies (``unsupported_reason`` is ``None``),
+        else — or when the engine raises ``BulkDivergence`` — the
+        generator path; ``mode="bulk"`` requires the fast path (raising
+        with the disqualifying reason otherwise); ``mode="generator"``
         forces the per-rank path.  Both paths produce byte-identical
         times for any qualifying workload.  ``tie_break`` is passed to
         the engine; the default ``"strict"`` preserves byte-identity by
@@ -135,8 +135,7 @@ class CollectiveBenchmark:
             from ..mpi.collectives.bulk import run_bulk, unsupported_reason
             from ..sim.bulk import BulkDivergence
             reason = unsupported_reason(config, self)
-            if reason is None and (mode == "bulk"
-                                   or config.n_nodes >= bulk_min_nodes):
+            if reason is None:
                 try:
                     result, _timeline = run_bulk(config, self,
                                                  tie_break=tie_break,

@@ -42,10 +42,6 @@ class PSNAPResult:
         ranked = sorted(fracs.items(), key=lambda kv: kv[1], reverse=True)
         return ranked[:k]
 
-    def slowest_sample_per_node(self) -> dict[int, int]:
-        """node -> worst single-sample duration (detour spikes)."""
-        return {n: int(r.samples_ns.max()) for n, r in self.per_node.items()}
-
     def machine_stats(self) -> SeriesStats:
         """Distribution of per-node noise fractions across the machine."""
         return summarize_series(list(self.node_noise_fractions().values()))

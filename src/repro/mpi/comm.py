@@ -224,11 +224,6 @@ class MPIWorld:
         comm = comm or self.world
         return RankComm(self, comm, rank)
 
-    def all_contexts(self, comm: Communicator | None = None) -> list["RankComm"]:
-        """One context per rank, in rank order."""
-        comm = comm or self.world
-        return [self.rank_context(r, comm) for r in range(comm.size)]
-
 
 class RankComm:
     """One rank's view of a communicator (the object rank code uses)."""

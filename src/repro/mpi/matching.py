@@ -83,10 +83,6 @@ class MessageRouter:
         return ev
 
     # -- introspection ---------------------------------------------------------------
-    def pending_counts(self, node: int) -> tuple[int, int]:
-        """(posted receives, unexpected messages) waiting at ``node``."""
-        return len(self._posted[node]), len(self._unexpected[node])
-
     def quiescent(self) -> bool:
         """True when no receive or message is parked anywhere."""
         return (all(not q for q in self._posted)

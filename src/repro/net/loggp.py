@@ -55,10 +55,6 @@ class LogGPParams:
             raise ValueError("extra_latency must be >= 0")
         return self.L + extra_latency + round(self.G * size_bytes)
 
-    def ping_pong_estimate(self, size_bytes: int) -> int:
-        """Half round-trip estimate (sender o + wire + receiver o)."""
-        return 2 * self.o + self.wire_time(size_bytes)
-
     # -- presets ----------------------------------------------------------------
     @classmethod
     def seastar(cls) -> "LogGPParams":

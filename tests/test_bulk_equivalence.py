@@ -6,13 +6,17 @@ generator path — and asserts the full per-rank repetition timelines,
 derived times, and timeline checksums are byte-identical.  Cases where
 the engine legitimately raises :class:`BulkDivergence` (coincidental
 consequential arrival ties) instead assert the ``run_auto`` fallback
-returns the generator's exact result.
+returns the generator's exact result.  Beside the hand-picked
+``CASES``, a derandomized ``hypothesis`` differential test generates
+operation x algorithm x rank count x fabric x noise configurations.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import Machine, MachineConfig
@@ -86,7 +90,7 @@ def test_bulk_matches_generator(name):
     except BulkDivergence:
         # A consequential exact-nanosecond tie the static gates cannot
         # rule out: the auto path must fall back to the generator.
-        res_auto = bench.run_auto(config, bulk_min_nodes=1)
+        res_auto = bench.run_auto(config)
         res_gen = bench.run(Machine(config))
         assert np.array_equal(res_auto.times_ns, res_gen.times_ns)
         return
@@ -108,7 +112,7 @@ def test_known_tie_divergence_falls_back():
     bench = _bench()
     with pytest.raises(BulkDivergence):
         run_bulk(config, bench, tie_break="strict")
-    res_auto = bench.run_auto(config, bulk_min_nodes=1)
+    res_auto = bench.run_auto(config)
     res_gen = bench.run(Machine(config))
     assert np.array_equal(res_auto.times_ns, res_gen.times_ns)
 
@@ -126,18 +130,77 @@ def test_deterministic_tie_break_is_reproducible():
 
 
 def test_run_auto_modes():
+    """``auto`` picks the engine by capability, not rank count."""
     config = _config(16)
     bench = _bench()
-    auto = bench.run_auto(config)          # 16 < bulk_min_nodes: generator
+    engine_stats = {}
+    auto = bench.run_auto(config, stats_out=engine_stats)
+    assert "fixpoint_reps" in engine_stats  # 16 ranks qualify: bulk ran
     forced = bench.run_auto(config, mode="bulk")
     gen = bench.run_auto(config, mode="generator")
     assert np.array_equal(auto.times_ns, gen.times_ns)
     assert np.array_equal(forced.times_ns, gen.times_ns)
+
+    poisson = _config(16, pattern="2.5pct@100HzPoisson")
+    assert unsupported_reason(poisson, bench) is not None
+    engine_stats = {}
+    fallback = bench.run_auto(poisson, stats_out=engine_stats)
+    assert engine_stats == {}  # not strictly periodic: generator ran
+    assert np.array_equal(fallback.times_ns,
+                          bench.run(Machine(poisson)).times_ns)
     with pytest.raises(ConfigError):
-        bench.run_auto(_config(16, pattern="2.5pct@100HzPoisson"),
-                       mode="bulk")
+        bench.run_auto(poisson, mode="bulk")
     with pytest.raises(ConfigError):
         bench.run_auto(config, mode="nonsense")
+
+
+# -- generated differential: DES == bulk --------------------------------------
+_OPS = (("allreduce", "recursive-doubling"), ("allreduce", "two-level"),
+        ("allreduce", "two-level-ring"), ("barrier", None),
+        ("barrier", "two-level"), ("bcast", None), ("bcast", "two-level"))
+_SHAPES = ("1x4x2@fat-tree", "2x4x4@fat-tree", "1x8x4@fat-tree")
+_PATTERNS = (None, "2.5pct@10Hz", "2.5pct@100Hz", "2.5pct@1000Hz")
+
+
+@st.composite
+def _generated_cases(draw):
+    op, algo = draw(st.sampled_from(_OPS))
+    P = draw(st.one_of(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]),
+                       st.integers(2, 256)))
+    # Two-level algorithms need a shape; the flat ones also run on the
+    # plain switch.
+    fabrics = ("shape", "hier") if algo and algo.startswith("two-level") \
+        else ("switch", "shape", "hier")
+    fabric = draw(st.sampled_from(fabrics))
+    shape = draw(st.sampled_from(_SHAPES))
+    config = _config(
+        P, pattern=draw(st.sampled_from(_PATTERNS)),
+        alignment=draw(st.sampled_from(("random", "staggered",
+                                        "synchronized"))),
+        shape=shape if fabric == "shape" else None,
+        topology=f"hier:{shape}" if fabric == "hier" else "switch",
+        seed=draw(st.integers(0, 3)))
+    return config, _bench(op, algo, reps=2)
+
+
+@given(case=_generated_cases())
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_bulk_matches_des(case):
+    """Whatever engine ``run_auto`` picks, its times are the DES's; and
+    wherever the bulk engine applies, strict mode either reproduces the
+    DES timeline checksum or raises :class:`BulkDivergence`."""
+    config, bench = case
+    des = bench.run(Machine(config))
+    assert np.array_equal(bench.run_auto(config).times_ns, des.times_ns)
+    if unsupported_reason(config, bench) is not None:
+        return
+    try:
+        _res, timeline = run_bulk(config, bench, tie_break="strict")
+    except BulkDivergence:
+        return
+    assert timeline.checksum() == _generator_timeline(config,
+                                                      bench).checksum()
 
 
 # -- serial vs worker processes ----------------------------------------------

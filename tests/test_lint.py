@@ -2,9 +2,9 @@
 
 Each rule gets at least one positive fixture (the hazard, caught) and
 one negative (the sanctioned alternative, silent); on top of that:
-inline-suppression handling, fingerprint stability, baseline
-round-trips, JSON schema stability, CLI exit codes, and the meta-test
-that the live ``src/repro`` tree itself is detlint-clean.
+inline-suppression handling, JSON schema stability, CLI exit codes,
+and the meta-test that the live ``src/repro`` tree itself is
+detlint-clean.
 """
 
 import io
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import (
     HOT_PATH_MODULES,
@@ -419,53 +418,6 @@ def test_suppression_is_rule_specific():
     assert [f.rule for f in found] == ["DET001"] and n_sup == 0
 
 
-# -- fingerprints & baseline -------------------------------------------------
-
-def test_fingerprint_is_line_number_independent():
-    a, _ = lint_source("import random\n", "repro/sim/f.py", scope="sim")
-    b, _ = lint_source("\n\n\nimport random\n", "repro/sim/f.py",
-                       scope="sim")
-    assert a[0].line != b[0].line
-    assert a[0].fingerprint == b[0].fingerprint
-
-
-def test_duplicate_findings_get_distinct_fingerprints():
-    src = "import time\na = time.time()\nb = time.time()\n"
-    found, _ = lint_source(src, "repro/sim/f.py", scope="sim")
-    assert len(found) == 2
-    assert len({f.fingerprint for f in found}) == 2
-
-
-def test_baseline_round_trip(tmp_path):
-    bad = tmp_path / "repro" / "sim" / "legacy.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text("import random\n")
-
-    dirty = lint_paths([bad])
-    assert [f.rule for f in dirty.findings] == ["DET002"]
-    assert not dirty.clean
-
-    path = tmp_path / "detlint-baseline.json"
-    Baseline.from_findings(dirty.findings).dump(path)
-    loaded = Baseline.load(path)
-    assert loaded.contains(dirty.findings[0])
-
-    grandfathered = lint_paths([bad], baseline=loaded)
-    assert grandfathered.clean
-    assert [f.rule for f in grandfathered.baselined] == ["DET002"]
-    assert grandfathered.baselined[0].baselined
-
-
-def test_baseline_rejects_foreign_files(tmp_path):
-    from repro.errors import ConfigError
-
-    path = tmp_path / "bogus.json"
-    path.write_text(json.dumps({"tool": "other", "version": 1,
-                                "entries": []}))
-    with pytest.raises(ConfigError):
-        Baseline.load(path)
-
-
 # -- parse errors ------------------------------------------------------------
 
 def test_syntax_error_becomes_a_finding():
@@ -485,19 +437,21 @@ def test_json_report_schema_is_stable(tmp_path):
     assert doc["schema_version"] == SCHEMA_VERSION
     assert set(doc) == {"tool", "schema_version", "paths", "rules",
                         "findings", "summary"}
-    assert set(doc["summary"]) == {"files", "active", "baselined",
-                                   "suppressed", "by_rule", "clean"}
+    assert set(doc["summary"]) == {"files", "active", "suppressed",
+                                   "by_rule", "clean"}
     (finding,) = doc["findings"]
     assert set(finding) == {"rule", "severity", "path", "line", "col",
-                            "message", "fingerprint", "baselined"}
+                            "message"}
+    assert all(set(entry) == {"severity", "summary", "scopes"}
+               for entry in doc["rules"].values())
     assert doc["summary"]["by_rule"] == {"DET002": 1}
     assert set(doc["rules"]) == set(RULES)
 
 
 def test_json_report_is_byte_stable(tmp_path):
     """Two runs over the same tree render the identical byte string:
-    globally sorted findings, "fixable" on every rule entry, one
-    trailing newline — what CI artifact diffing relies on."""
+    globally sorted findings, one trailing newline — what CI artifact
+    diffing relies on."""
     for name, src in [("b.py", "import random\n"),
                       ("a.py", "import time\nt = time.time()\n")]:
         target = tmp_path / "repro" / "sim" / name
@@ -513,8 +467,7 @@ def test_json_report_is_byte_stable(tmp_path):
     order = [(f["path"], f["line"], f["col"], f["rule"])
              for f in doc["findings"]]
     assert order == sorted(order)
-    assert all("fixable" in entry for entry in doc["rules"].values())
-    # per-rule timing is --stats-only: wall-clock noise would break
+    # per-rule timing stays out: wall-clock noise would break
     # byte-stability.
     assert "rule_costs" not in doc
 
@@ -542,8 +495,8 @@ def test_cli_exit_codes(tmp_path):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\n")
 
-    assert _cli(str(clean), "--no-baseline")[0] == 0
-    code, text = _cli(str(dirty), "--no-baseline")
+    assert _cli(str(clean))[0] == 0
+    code, text = _cli(str(dirty))
     assert code == 1 and "DET002" in text
     assert _cli(str(tmp_path / "missing.py"))[0] == 2
 
@@ -552,20 +505,10 @@ def test_cli_json_output_and_artifact(tmp_path):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import random\n")
     artifact = tmp_path / "report.json"
-    code, text = _cli(str(dirty), "--no-baseline", "--json",
+    code, text = _cli(str(dirty), "--json",
                       "--output", str(artifact))
     assert code == 1
     assert json.loads(text) == json.loads(artifact.read_text())
-
-
-def test_cli_write_baseline_then_clean(tmp_path):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\n")
-    baseline = tmp_path / "base.json"
-    code, _ = _cli(str(dirty), "--baseline", str(baseline),
-                   "--write-baseline")
-    assert code == 0
-    assert _cli(str(dirty), "--baseline", str(baseline))[0] == 0
 
 
 def test_cli_list_rules():
@@ -573,7 +516,6 @@ def test_cli_list_rules():
     assert code == 0
     for rid in RULES:
         assert rid in text
-    assert "fixable" in text
 
 
 def test_cli_explain():
@@ -584,62 +526,39 @@ def test_cli_explain():
     assert code == 2 and "unknown rule" in text
 
 
-def test_cli_check_and_prune_baseline(tmp_path):
-    dirty = tmp_path / "legacy.py"
-    dirty.write_text("import random\nimport time\nt = time.time()\n")
-    baseline = tmp_path / "base.json"
-    assert _cli(str(dirty), "--baseline", str(baseline),
-                "--write-baseline")[0] == 0
-    # Baseline is tight while both findings still fire.
-    code, text = _cli(str(dirty), "--baseline", str(baseline),
-                      "--check-baseline")
-    assert code == 0 and "tight" in text
-    # Fixing one finding leaves a stale fingerprint behind ...
-    dirty.write_text("import random\n")
-    code, text = _cli(str(dirty), "--baseline", str(baseline),
-                      "--check-baseline")
-    assert code == 1 and "stale" in text and "DET001" in text
-    # ... which --prune-baseline drops, making the check pass again.
-    code, text = _cli(str(dirty), "--baseline", str(baseline),
-                      "--prune-baseline")
-    assert code == 0 and "pruned 1" in text
-    assert _cli(str(dirty), "--baseline", str(baseline),
-                "--check-baseline")[0] == 0
-    assert _cli(str(dirty), "--baseline", str(baseline))[0] == 0
-
-
 def test_cli_profile_overrides_path_scope(tmp_path):
     probe = tmp_path / "repro" / "sim" / "timing.py"
     probe.parent.mkdir(parents=True)
     probe.write_text("import time\nt0 = time.time()\n")
-    assert _cli(str(probe), "--no-baseline")[0] == 1
+    assert _cli(str(probe))[0] == 1
     # The CI profile for tests/ and benchmarks/: host rules only.
-    assert _cli(str(probe), "--no-baseline", "--profile", "host")[0] == 0
+    assert _cli(str(probe), "--profile", "host")[0] == 0
 
 
-def test_cli_jobs_output_is_identical_to_serial(tmp_path):
+def test_cli_options_are_the_ci_gate():
+    from repro.lint.cli import build_parser
+
+    options = {o for a in build_parser()._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--json", "--output", "--profile",
+                       "--list-rules", "--explain"}
+
+
+def test_cli_json_runs_are_byte_identical(tmp_path):
     for i in range(6):
         target = tmp_path / "repro" / "sim" / f"m{i}.py"
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("import random\nimport time\n"
                           f"t{i} = time.time()\n")
-    serial = _cli(str(tmp_path), "--no-baseline", "--json")
-    threaded = _cli(str(tmp_path), "--no-baseline", "--json",
-                    "--jobs", "4")
-    assert serial == threaded and serial[0] == 1
-    assert _cli(str(tmp_path), "--jobs", "0")[0] == 2
+    first = _cli(str(tmp_path), "--json")
+    assert first == _cli(str(tmp_path), "--json") and first[0] == 1
 
 
 # -- the live tree ----------------------------------------------------------
 
 def test_live_source_tree_is_clean():
-    """src/repro must stay detlint-clean (modulo the checked-in
-    baseline) — the same invariant CI enforces."""
-    src = REPO_ROOT / "src" / "repro"
-    baseline_file = REPO_ROOT / "detlint-baseline.json"
-    baseline = (Baseline.load(baseline_file)
-                if baseline_file.is_file() else None)
-    report = lint_paths([src], baseline=baseline)
+    """src/repro must stay detlint-clean (modulo justified inline
+    suppressions) — the same invariant CI enforces."""
+    report = lint_paths([REPO_ROOT / "src" / "repro"])
     assert report.files > 100  # the walk really saw the package
     assert report.clean, "\n".join(f.format() for f in report.findings)
 
