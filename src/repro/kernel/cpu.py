@@ -25,7 +25,7 @@ import typing as _t
 
 from ..errors import SimulationError
 from ..noise import CompositeNoise, NoiseSource, NullNoise
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Timeout
 
 __all__ = ["CPU"]
 
@@ -83,11 +83,14 @@ class CPU:
         if work == 0:
             return
         cycles = work if self.speed == 1.0 else round(work / self.speed)
-        start = self.env.now
+        env = self.env
+        start = env.now
         self._deadline = start + self.noise.wall_time(start, cycles)
         try:
-            while self.env.now < self._deadline:
-                yield self.env.timeout(self._deadline - self.env.now)
+            # A transient steal landing mid-phase moves the deadline, so
+            # re-arm until the clock has really reached it.
+            while env.now < self._deadline:
+                yield Timeout(env, self._deadline - env.now)
         finally:
             self._deadline = None
         self.work_executed_ns += work

@@ -31,7 +31,7 @@ def combine(ctx: "RankComm", op: _t.Callable[[_t.Any, _t.Any], _t.Any] | None,
     """Combine two buffers, paying the reduction CPU cost."""
     work = ctx.reduce_work(size)
     if work:
-        yield from ctx.compute(work)
+        yield from ctx.node.cpu.compute(work)
     return (op or default_op)(a, b)
 
 

@@ -18,6 +18,15 @@ Costs charged per operation:
 
 All of that CPU work runs on the node CPU and is therefore stretched by
 kernel noise — which is how noise gets *into* the communication path.
+
+Every message, from ``send``, ``sendrecv`` or a collective, goes through
+:meth:`RankComm.isend`, which returns a request whose completion event is
+already triggered.  ``send`` and ``sendrecv`` yield that event directly;
+``sendrecv`` then completes its receive through ``Request.wait``.  Each
+yield is an event whose same-instant position can decide whether a
+kernel steal lands inside a compute phase, so none may be dropped or
+reordered without re-recording the pinned schedule
+(``tests/test_event_order.py``; ``docs/PERFORMANCE.md``, "message path").
 """
 
 from __future__ import annotations
@@ -86,7 +95,7 @@ class Communicator:
         return len(self.node_of_rank)
 
     def node(self, rank: int) -> int:
-        if not 0 <= rank < self.size:
+        if not 0 <= rank < len(self.node_of_rank):
             raise MPIError(f"rank {rank} out of range [0, {self.size})")
         return self.node_of_rank[rank]
 
@@ -234,6 +243,8 @@ class RankComm:
         self.world = world
         self.comm = comm
         self.rank = rank
+        #: Ranks in the communicator (fixed: a communicator is immutable).
+        self.size = comm.size
         self.node_id = comm.node(rank)
         self.node: Node = world.nodes[self.node_id]
         self._coll_counts: dict[str, int] = {}
@@ -242,16 +253,12 @@ class RankComm:
 
     # -- conveniences ------------------------------------------------------------
     @property
-    def size(self) -> int:
-        return self.comm.size
-
-    @property
     def env(self) -> Environment:
         return self.world.env
 
     def compute(self, work_ns: int) -> _t.Generator[Event, object, None]:
         """Application CPU work on this rank's node."""
-        return self.node.compute(work_ns)
+        return self.node.cpu.compute(work_ns)
 
     def _count(self, op: str) -> None:
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
@@ -264,7 +271,7 @@ class RankComm:
              payload: _t.Any = None) -> _t.Generator[Event, object, None]:
         """Blocking-but-eager send: returns once the message is injected."""
         req = yield from self.isend(dest, size, tag=tag, payload=payload)
-        yield from req.wait()
+        yield req.event
 
     def isend(self, dest: int, size: int, *, tag: int = 0,
               payload: _t.Any = None) -> _t.Generator[Event, object, Request]:
@@ -273,15 +280,16 @@ class RankComm:
         self._validate_tag(tag)
         dst_node = self.comm.node(dest)
         self._count("send")
+        world = self.world
         yield from self.node.cpu.compute(
-            self.world.network.send_overhead_work(self.node_id))
-        msg = Message(src=self.node_id, dst=dst_node, tag=tag, size=size,
-                      comm_id=self.comm.comm_id, src_rank=self.rank,
-                      payload=payload)
-        self.world.send_message(msg)
-        done = Event(self.env)
+            world.network.send_overhead_work(self.node_id))
+        world.send_message(Message(src=self.node_id, dst=dst_node, tag=tag,
+                                   size=size, comm_id=self.comm.comm_id,
+                                   src_rank=self.rank, payload=payload))
+        env = world.env
+        done = Event(env)
         done.succeed(None)
-        return Request(self.env, done, kind="send")
+        return Request(env, done, kind="send")
 
     def recv(self, source: int = ANY_SOURCE, *,
              tag: int = ANY_TAG) -> _t.Generator[Event, object, Message]:
@@ -294,18 +302,15 @@ class RankComm:
         """Non-blocking receive (posts immediately, no CPU cost yet)."""
         if source != ANY_SOURCE and not 0 <= source < self.size:
             raise MPIError(f"recv source {source} out of range")
+        self._validate_tag(tag, wildcard=True)
         self._count("recv")
-        ev = self.world.router.post_recv(self.node_id, self.comm.comm_id,
-                                         source, tag)
-        recorder = self.world.critpath
-        if recorder is None:
-            return Request(
-                self.env, ev, cpu=self.node.cpu,
-                completion_work=self.world.network.recv_overhead_work(),
-                kind="recv")
-        return Request(self.env, ev, cpu=self.node.cpu,
-                       completion_work=self.world.network.recv_overhead_work(),
-                       kind="recv", recorder=recorder, node_id=self.node_id)
+        world = self.world
+        ev = world.router.post_recv(self.node_id, self.comm.comm_id,
+                                    source, tag)
+        return Request(world.env, ev, cpu=self.node.cpu,
+                       completion_work=world.network.recv_overhead_work(),
+                       kind="recv", recorder=world.critpath,
+                       node_id=self.node_id)
 
     def sendrecv(self, dest: int, source: int, size: int, *,
                  recv_size: int | None = None, tag: int = 0,
@@ -313,7 +318,8 @@ class RankComm:
         """Simultaneous exchange: post the receive, send, then complete."""
         del recv_size  # symmetry hint only; the sender's size governs
         rreq = self.irecv(source, tag=tag)
-        yield from self.send(dest, size, tag=tag, payload=payload)
+        sreq = yield from self.isend(dest, size, tag=tag, payload=payload)
+        yield sreq.event
         msg = yield from rreq.wait()
         return _t.cast(Message, msg)
 
@@ -435,14 +441,17 @@ class RankComm:
         op_base = _COLL_OPS.index(op) * COLLECTIVE_TAG_WINDOW
         return COLLECTIVE_TAG_BASE + op_base + slot * _PHASES_PER_CALL
 
-    def _validate_tag(self, tag: int) -> None:
+    def _validate_tag(self, tag: int, *, wildcard: bool = False) -> None:
         # Tags at/above COLLECTIVE_TAG_BASE are reserved for collective
         # internals (which reuse this same send path); application code
         # must stay below it, but that is a documented convention — the
         # only hard error is a negative tag, which would collide with
-        # the ANY_TAG wildcard.
-        if tag < 0:
-            raise MPIError(f"send tags must be >= 0, got {tag}")
+        # the ANY_TAG wildcard.  A receive (``wildcard``) may name
+        # ANY_TAG itself; any other negative receive tag could never
+        # match a send and would surface only as a distant deadlock.
+        if tag < 0 and not (wildcard and tag == ANY_TAG):
+            side = "recv" if wildcard else "send"
+            raise MPIError(f"{side} tags must be >= 0, got {tag}")
 
     def reduce_work(self, size: int) -> int:
         """CPU ns to combine two ``size``-byte buffers."""

@@ -32,6 +32,9 @@ class Request:
     pays one ``is None`` test.
     """
 
+    __slots__ = ("env", "event", "_cpu", "_completion_work", "kind",
+                 "_consumed", "_recorder", "_node_id")
+
     def __init__(self, env: Environment, event: Event, *,
                  cpu: "CPU | None" = None, completion_work: int = 0,
                  kind: str = "recv", recorder: _t.Any = None,

@@ -58,7 +58,7 @@ class Message:
     comm_id: int = 0
     src_rank: int = -1
     payload: _t.Any = None
-    seq: int = field(default_factory=lambda: next(_SEQ))
+    seq: int = field(default_factory=_SEQ.__next__)
     sent_at: int = -1
     delivered_at: int = -1
     kind: str = "data"

@@ -32,7 +32,7 @@ from bisect import bisect_left
 
 from ..errors import ConfigError
 from ..kernel.node import Node
-from ..sim import Environment
+from ..sim import Environment, Timeout
 from ..sim.rng import derive_seed
 from .loggp import LogGPParams
 from .message import Message
@@ -162,12 +162,13 @@ class Network:
             extra = int(self._extra_mat[msg.src, msg.dst])
         else:
             extra = self.topology.extra_cost(msg.src, msg.dst, msg.size)
-        wire = self.params.wire_time(msg.size, extra)
+        params = self.params
+        wire = params.wire_time(msg.size, extra)
         self._injections += 1
-        if self.params.jitter_ns:
+        if params.jitter_ns:
             # Deterministic per-message jitter: same seed, same run.
             wire += derive_seed(self.seed, f"jitter:{self._injections}") % (
-                self.params.jitter_ns + 1)
+                params.jitter_ns + 1)
 
         faults = self.faults
         duplicate = False
@@ -198,7 +199,7 @@ class Network:
             # slot (a retransmit race in a real fabric); the strict
             # per-channel ordering in _schedule_arrival sequences it.
             self.duplicates_injected += 1
-            self._schedule_arrival(msg, departure + wire + self.params.g)
+            self._schedule_arrival(msg, departure + wire + params.g)
 
     def _schedule_arrival(self, msg: Message, arrival: int) -> None:
         """Book ``msg`` onto its channel and schedule the arrival event.
@@ -222,8 +223,9 @@ class Network:
             self._channel_pending[key] = backlog
             if backlog > self.channel_backlog_peak:
                 self.channel_backlog_peak = backlog
-        ev = self.env.timeout(arrival - self.env.now, msg)
-        ev.callbacks.append(self._on_arrival)
+        env = self.env
+        Timeout(env, arrival - env.now, msg).callbacks.append(
+            self._on_arrival)
 
     def _drop(self, msg: Message) -> None:
         self.messages_dropped += 1
@@ -235,11 +237,15 @@ class Network:
             key = (msg.src, msg.dst)
             self._channel_pending[key] -= 1
         handoff_at = self.nics[msg.dst].deliver(msg.size)
-        if handoff_at <= self.env.now:
+        env = self.env
+        if handoff_at <= env.now:
             self._handoff(msg)
         else:
-            ev = self.env.timeout(handoff_at - self.env.now, msg)
-            ev.callbacks.append(lambda e: self._handoff(e.value))
+            Timeout(env, handoff_at - env.now, msg).callbacks.append(
+                self._on_rx_done)
+
+    def _on_rx_done(self, event) -> None:
+        self._handoff(event.value)
 
     def _handoff(self, msg: Message) -> None:
         msg.delivered_at = self.env.now

@@ -19,7 +19,8 @@ batch (read it between ``run()`` calls, not from inside a callback).
 Telemetry (:mod:`repro.obs`) hooks in two ways, both free when off:
 
 * ``metrics=True`` counts scheduled events and tracks the heap's
-  high-water mark (one predictable branch per ``schedule()``);
+  high-water mark (one predictable branch per :meth:`_push`, the
+  single entry onto the heap);
   cancelled-event discards are counted unconditionally because the
   cost lands only on the rare cancelled pop.
 * ``tracer`` (a :class:`~repro.obs.SpanTracer`) routes :meth:`run`
@@ -30,8 +31,8 @@ Telemetry (:mod:`repro.obs`) hooks in two ways, both free when off:
 
 from __future__ import annotations
 
-import heapq
 import typing as _t
+from heapq import heappop, heappush
 from itertools import count
 
 from ..errors import DeadlockError, SimulationError
@@ -50,7 +51,7 @@ class Environment:
         Starting clock value in nanoseconds (default 0).
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "events_processed",
+    __slots__ = ("now", "_queue", "_seq", "events_processed",
                  "_live_processes", "_metrics",
                  "events_cancelled", "max_heap_depth", "tracer",
                  "_det_check", "det_checksum")
@@ -59,7 +60,11 @@ class Environment:
                  tracer: _t.Any = None, det_check: bool = False) -> None:
         if initial_time < 0:
             raise ValueError("initial_time must be >= 0")
-        self._now: int = int(initial_time)
+        #: Current simulation time in integer nanoseconds.  A plain
+        #: attribute, not a property: it is read several times per
+        #: event.  Only the run loops advance it; everything else
+        #: reads it.
+        self.now: int = int(initial_time)
         self._queue: list[tuple[int, int, int, Event]] = []
         self._seq = count()
         #: Number of events processed so far (profiling/diagnostics).
@@ -86,20 +91,14 @@ class Environment:
         self._det_check = bool(det_check)
         self.det_checksum: int = 0
 
-    # -- clock -----------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulation time in integer nanoseconds."""
-        return self._now
-
     @property
     def events_scheduled(self) -> int:
         """Total events ever pushed onto the queue.
 
         Every scheduled event is eventually popped (processed or
         discarded as cancelled) or still sits in the heap, so the total
-        is derived rather than counted — :meth:`schedule` stays free of
-        a per-push increment.  Exact once a ``run()`` has returned (the
+        is derived rather than counted — :meth:`_push` stays free of a
+        per-push increment.  Exact once a ``run()`` has returned (the
         processed count is written back in one batch).
         """
         return (self.events_processed + self.events_cancelled
@@ -111,11 +110,20 @@ class Environment:
         """Insert ``event`` into the queue ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
+        self._push(self.now + delay, priority, event)
+
+    def _push(self, when: int, priority: int, event: Event) -> None:
+        """Queue ``event`` at absolute time ``when`` (callers ensure
+        ``when >= now``).
+
+        The one way onto the heap, so the heap high-water mark and the
+        ``det_check`` fold see every scheduled tuple.
+        """
         seq = next(self._seq)
-        heapq.heappush(self._queue, (when, priority, seq, event))
-        if self._metrics and len(self._queue) > self.max_heap_depth:
-            self.max_heap_depth = len(self._queue)
+        queue = self._queue
+        heappush(queue, (when, priority, seq, event))
+        if self._metrics and len(queue) > self.max_heap_depth:
+            self.max_heap_depth = len(queue)
         if self._det_check:
             # Order-sensitive 64-bit FNV-1a over the tuple stream; int
             # arithmetic only, so it is identical across processes and
@@ -166,11 +174,11 @@ class Environment:
         """
         queue = self._queue
         while queue:
-            when, _prio, _seq, event = heapq.heappop(queue)
+            when, _prio, _seq, event = heappop(queue)
             if event._cancelled:
                 self.events_cancelled += 1
                 continue
-            self._now = when
+            self.now = when
             self.events_processed += 1
             event._run_callbacks()
             return
@@ -183,7 +191,7 @@ class Environment:
         """
         queue = self._queue
         while queue and queue[0][3]._cancelled:
-            heapq.heappop(queue)
+            heappop(queue)
             self.events_cancelled += 1
         return queue[0][0] if queue else None
 
@@ -211,8 +219,8 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = int(until)
-            if stop_time < self._now:
-                raise SimulationError(f"run(until={stop_time}) is in the past (now={self._now})")
+            if stop_time < self.now:
+                raise SimulationError(f"run(until={stop_time}) is in the past (now={self.now})")
 
         # Hot loop: locals for the heap and heappop, inlined callback
         # dispatch (the body of Event._run_callbacks), and batched
@@ -221,7 +229,7 @@ class Environment:
         # tests nothing per event beyond the pop itself; a fourth,
         # instrumented loop takes over only when a tracer is attached.
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         processed = 0
         discarded = 0
         try:
@@ -237,7 +245,7 @@ class Environment:
                     if event._cancelled:
                         discarded += 1
                         continue
-                    self._now = when
+                    self.now = when
                     processed += 1
                     emit("sim", type(event).__name__, when)
                     callbacks, event.callbacks = event.callbacks, None
@@ -251,7 +259,7 @@ class Environment:
                     if event._cancelled:
                         discarded += 1
                         continue
-                    self._now = when
+                    self.now = when
                     processed += 1
                     callbacks, event.callbacks = event.callbacks, None
                     event._processed = True
@@ -261,13 +269,13 @@ class Environment:
             elif stop_time is not None:
                 while queue:
                     if queue[0][0] >= stop_time:
-                        self._now = stop_time
+                        self.now = stop_time
                         return None
                     when, _prio, _seq, event = pop(queue)
                     if event._cancelled:
                         discarded += 1
                         continue
-                    self._now = when
+                    self.now = when
                     processed += 1
                     callbacks, event.callbacks = event.callbacks, None
                     event._processed = True
@@ -281,7 +289,7 @@ class Environment:
                     if event._cancelled:
                         discarded += 1
                         continue
-                    self._now = when
+                    self.now = when
                     processed += 1
                     callbacks, event.callbacks = event.callbacks, None
                     event._processed = True
@@ -303,7 +311,7 @@ class Environment:
 
         if stop_time is not None:
             # Queue drained before reaching stop_time: clock jumps ahead.
-            self._now = stop_time
+            self.now = stop_time
             return None
 
         if self._live_processes:
@@ -330,7 +338,7 @@ class Environment:
             raise ValueError(f"max_events must be positive, got {max_events}")
 
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         processed = 0
         discarded = 0
         try:
@@ -339,12 +347,12 @@ class Environment:
                     raise SimulationError(
                         f"run_until_empty() exceeded max_events={max_events} "
                         f"with {len(queue)} event(s) still queued at "
-                        f"t={self._now}ns — runaway workload?")
+                        f"t={self.now}ns — runaway workload?")
                 when, _prio, _seq, event = pop(queue)
                 if event._cancelled:
                     discarded += 1
                     continue
-                self._now = when
+                self.now = when
                 processed += 1
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
@@ -361,5 +369,5 @@ class Environment:
                 "still waiting on events that can never fire")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Environment t={self._now}ns queued={len(self._queue)} "
+        return (f"<Environment t={self.now}ns queued={len(self._queue)} "
                 f"processed={self.events_processed}>")

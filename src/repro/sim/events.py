@@ -125,7 +125,8 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay=0, priority=priority)
+        env = self.env
+        env._push(env.now, priority, self)
         return self
 
     def fail(self, exception: BaseException, *, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -142,7 +143,8 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, delay=0, priority=priority)
+        env = self.env
+        env._push(env.now, priority, self)
         return self
 
     def cancel(self) -> "Event":
@@ -189,7 +191,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env._push(env.now + delay, PRIORITY_NORMAL, self)
 
 
 class _Condition(Event):

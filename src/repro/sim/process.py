@@ -23,7 +23,7 @@ __all__ = ["Process"]
 class Process(Event):
     """A running simulation process (and the event of its termination)."""
 
-    __slots__ = ("name", "_generator", "_waiting_on")
+    __slots__ = ("name", "_generator", "_waiting_on", "_wake")
 
     def __init__(self, env: "Environment",
                  generator: _t.Generator[Event, object, object],
@@ -34,14 +34,17 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         self._waiting_on: Event | None = None
+        #: ``self._resume`` bound once: every wait appends it to the
+        #: awaited event's callbacks.
+        self._wake = self._resume
         env._live_processes += 1
         # Kick the generator off at the current simulation instant via an
         # initialisation event so spawning is itself deterministic.
         init = Event(env)
         init._ok = True
         init._value = None
-        init.callbacks.append(self._resume)
-        env.schedule(init, delay=0, priority=PRIORITY_URGENT)
+        init.callbacks.append(self._wake)
+        env._push(env.now, PRIORITY_URGENT, init)
 
     # -- public ------------------------------------------------------------
     @property
@@ -61,24 +64,25 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:  # pragma: no cover - callback already detached
                 pass
         self._waiting_on = None
         # Deliver the interrupt through an urgent event so ordering stays
         # deterministic with respect to other same-instant events.
-        exc = Interrupt(cause)
-        kick = Event(self.env)
+        env = self.env
+        kick = Event(env)
         kick._ok = False
-        kick._value = exc
-        kick.callbacks.append(self._resume)
-        self.env.schedule(kick, delay=0, priority=PRIORITY_URGENT)
+        kick._value = Interrupt(cause)
+        kick.callbacks.append(self._wake)
+        env._push(env.now, PRIORITY_URGENT, kick)
 
     # -- engine ------------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the fired event's value."""
         self._waiting_on = None
         gen = self._generator
+        env = self.env
         while True:
             try:
                 if trigger._ok:
@@ -86,11 +90,11 @@ class Process(Event):
                 else:
                     target = gen.throw(_t.cast(BaseException, trigger._value))
             except StopIteration as stop:
-                self.env._live_processes -= 1
+                env._live_processes -= 1
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.env._live_processes -= 1
+                env._live_processes -= 1
                 # A crashing process fails its termination event; if nobody
                 # is waiting on it, re-raise so bugs don't vanish silently.
                 if self.callbacks:
@@ -103,23 +107,24 @@ class Process(Event):
                 err = SimulationError(
                     f"process {self.name!r} yielded {target!r}; processes "
                     "must yield Event objects")
-                self.env._live_processes -= 1
+                env._live_processes -= 1
                 self.fail(err)
                 raise err
-            if target.env is not self.env:
+            if target.env is not env:
                 err = SimulationError(
                     f"process {self.name!r} yielded an event from a different environment")
-                self.env._live_processes -= 1
+                env._live_processes -= 1
                 self.fail(err)
                 raise err
 
-            if target.callbacks is None:
+            callbacks = target.callbacks
+            if callbacks is None:
                 # Already processed: resume immediately with its value in
                 # this same call frame (no extra queue round-trip).
                 trigger = target
                 continue
             self._waiting_on = target
-            target.callbacks.append(self._resume)
+            callbacks.append(self._wake)
             return
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -12,7 +12,10 @@ c. tracing on vs tracing off.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import ExperimentConfig, sweep_records
@@ -65,6 +68,57 @@ def test_telemetry_is_invisible_in_default_report(experiment_id):
     on_text, _on_snap = _run(experiment_id, metrics=True)
     assert off_text == on_text  # byte-identical: telemetry never leaks
     assert off_snap == {}  # and nothing is collected while disabled
+
+
+#: Tiny per-app sizes for the generated case (each run well under 0.1 s
+#: at 32 nodes).
+_TINY_APPS = {
+    "bsp": {"work_ns": 100_000, "iterations": 3},
+    "pop": {"baroclinic_ns": 200_000, "solver_iterations": 3,
+            "solver_compute_ns": 20_000, "iterations": 1},
+    "stencil": {"work_ns": 100_000, "iterations": 2},
+    "sweep": {"block_work_ns": 20_000, "blocks_per_rank": 2,
+              "iterations": 1},
+    "cg": {"spmv_ns": 100_000, "iterations": 2},
+    "transpose": {"work_ns": 100_000, "total_bytes": 1 << 14,
+                  "iterations": 2},
+}
+
+
+@st.composite
+def _generated_configs(draw):
+    app = draw(st.sampled_from(sorted(_TINY_APPS)))
+    pattern = draw(st.sampled_from(
+        ("quiet", "1pct@100Hz", "2.5pct@1000Hz", "5pct@10Hz")))
+    return ExperimentConfig(
+        app=app, nodes=draw(st.integers(2, 32)), noise_pattern=pattern,
+        alignment=draw(st.sampled_from(("random", "staggered",
+                                        "synchronized"))),
+        kernel=draw(st.sampled_from(("lightweight", "commodity-linux",
+                                     "tuned-linux"))),
+        faults=draw(st.sampled_from((None, "drop=0.02,timeout=300us"))),
+        seed=draw(st.integers(0, 5)), app_params=_TINY_APPS[app])
+
+
+@given(cfg=_generated_configs())
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+def test_generated_telemetry_changes_no_timing(cfg):
+    """A dark run and a run with metrics, det_check and critical-path
+    recording all on simulate the same schedule."""
+    obs.disable()
+    dark = core_run_experiment(cfg)
+    obs.configure(metrics=True, det_check=True, critical_path=True)
+    try:
+        lit = core_run_experiment(cfg)
+    finally:
+        obs.disable()
+    assert lit.makespan_ns == dark.makespan_ns
+    assert np.array_equal(lit.iteration_durations_ns,
+                          dark.iteration_durations_ns)
+    assert lit.events_processed == dark.events_processed
+    assert "det_check" in lit.meta and "det_check" not in dark.meta
 
 
 # -- axis (b): serial vs worker processes ----------------------------------

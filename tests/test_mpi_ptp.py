@@ -209,6 +209,12 @@ def test_invalid_ranks_and_tags_rejected():
         ctx.irecv(source=5)
     with pytest.raises(MPIError):
         m.mpi.rank_context(9)
+    # A negative receive tag other than ANY_TAG could never match a send.
+    with pytest.raises(MPIError, match="recv tags must be >= 0"):
+        ctx.irecv(1, tag=-2)
+    with pytest.raises(MPIError, match="recv tags must be >= 0"):
+        next(ctx.sendrecv(1, 1, size=0, tag=-5))
+    ctx.irecv(1, tag=ANY_TAG)  # the wildcard stays legal
 
     def bad_send(ctx):
         yield from ctx.send(1, size=0, tag=-2)
@@ -217,6 +223,56 @@ def test_invalid_ranks_and_tags_rejected():
     m2.env.process(bad_send(m2.mpi.rank_context(0)))
     with pytest.raises(MPIError):
         m2.run()
+
+
+def test_negative_receive_tag_fails_at_the_call_not_as_deadlock():
+    m = _machine()
+
+    def sender(ctx):
+        yield from ctx.send(1, size=0, tag=3)
+
+    def receiver(ctx):
+        yield from ctx.recv(0, tag=-3)
+
+    procs = [m.env.process(sender(m.mpi.rank_context(0))),
+             m.env.process(receiver(m.mpi.rank_context(1)))]
+    with pytest.raises(MPIError, match="recv tags must be >= 0"):
+        m.run_to_completion(procs)
+
+
+def test_every_message_goes_through_isend(monkeypatch):
+    """Traced runs count sends by wrapping ``RankComm.isend``: on a
+    fault-free fabric each call is exactly one delivered message, for
+    ``send``, ``sendrecv`` and collectives alike."""
+    from repro.mpi.comm import RankComm
+
+    calls = []
+    isend = RankComm.isend
+
+    def counting_isend(self, *args, **kwargs):
+        calls.append(self.rank)
+        return isend(self, *args, **kwargs)
+
+    monkeypatch.setattr(RankComm, "isend", counting_isend)
+    n = 4
+    m = _machine(n)
+
+    def prog(ctx):
+        right, left = (ctx.rank + 1) % n, (ctx.rank - 1) % n
+        if ctx.rank % 2 == 0:
+            yield from ctx.send(right, size=64, tag=1)
+            yield from ctx.recv(left, tag=1)
+        else:
+            yield from ctx.recv(left, tag=1)
+            yield from ctx.send(right, size=64, tag=1)
+        yield from ctx.sendrecv(right, left, size=128, tag=2)
+        yield from ctx.allreduce(8, payload=ctx.rank)
+        yield from ctx.bcast(32, root=1, payload="x")
+
+    _run(m, *[prog] * n)
+    transferred = m.mpi.network.messages_transferred
+    assert transferred > 3 * n  # ring + exchange + collective traffic
+    assert len(calls) == transferred
 
 
 def test_deadlock_detected_for_unmatched_recv():
