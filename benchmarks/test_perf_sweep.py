@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.core import ExperimentConfig, sweep_records
-from repro.parallel import SweepExecutor
+from repro.parallel import SweepExecutor, plan_sweep
 from repro.sim import Environment
 
 #: One sweep point heavy enough to amortise process fan-out (~0.5-1 s).
@@ -89,12 +89,12 @@ def test_baseline_cache_hits_on_second_run(benchmark, tmp_path):
     kwargs = dict(nodes=[4, 8], patterns=["quiet", "2.5pct@100Hz"])
 
     first = SweepExecutor(workers=workers, cache=tmp_path)
-    first.run_sweep(base, **kwargs)
+    first.run(plan_sweep(base, **kwargs))
     assert first.last_stats.quiet_simulated == 2
 
     def second_run():
         ex = SweepExecutor(workers=workers, cache=tmp_path)
-        ex.run_sweep(base, **kwargs)
+        ex.run(plan_sweep(base, **kwargs))
         return ex
 
     second = benchmark.pedantic(second_run, rounds=1, iterations=1)

@@ -102,6 +102,7 @@ from .errors import ReproError
 from .harness import experiment_ids, render_markdown, render_summary
 from .harness import run_all as harness_run_all
 from .harness import run_experiment as harness_run_experiment
+from .parallel import SweepExecutor
 
 __all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE"]
 
@@ -302,13 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_execution_flags(args: argparse.Namespace) -> None:
-    """Point the harness execution policy at the CLI's --workers/--cache."""
-    from .harness import set_execution_policy
-
-    set_execution_policy(workers=args.workers, cache=args.cache)
-
-
 def _apply_obs_flags(args: argparse.Namespace) -> None:
     """Configure process-wide telemetry from --metrics/--trace flags."""
     from .errors import ConfigError
@@ -363,9 +357,10 @@ def _cmd_list(out: _t.TextIO) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, out: _t.TextIO) -> int:
-    _apply_execution_flags(args)
+    executor = SweepExecutor(workers=args.workers, cache=args.cache)
     _apply_obs_flags(args)
-    report = harness_run_experiment(args.experiment.upper(), args.scale)
+    report = harness_run_experiment(args.experiment.upper(), args.scale,
+                                    executor)
     out.write(report.render(include_metrics=args.metrics))
     if args.csv:
         with open(args.csv, "w") as f:
@@ -376,9 +371,9 @@ def _cmd_run(args: argparse.Namespace, out: _t.TextIO) -> int:
 
 
 def _cmd_all(args: argparse.Namespace, out: _t.TextIO) -> int:
-    _apply_execution_flags(args)
+    executor = SweepExecutor(workers=args.workers, cache=args.cache)
     _apply_obs_flags(args)
-    reports = harness_run_all(args.scale,
+    reports = harness_run_all(args.scale, executor,
                               progress=lambda s: out.write(s + "\n"))
     out.write("\n" + render_summary(reports))
     if args.markdown:
@@ -685,8 +680,9 @@ def _cmd_top(args: argparse.Namespace, out: _t.TextIO) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, out: _t.TextIO) -> int:
     from .core import flat_records
-    from .parallel import SweepExecutor
+    from .parallel import plan_sweep
 
+    executor = SweepExecutor(workers=args.workers, cache=args.cache)
     _apply_obs_flags(args)
 
     nodes = [int(x) for x in args.nodes.split(",") if x]
@@ -695,9 +691,8 @@ def _cmd_sweep(args: argparse.Namespace, out: _t.TextIO) -> int:
                             faults=args.faults, topology=args.topology,
                             shape=args.shape,
                             collectives=_parse_collectives(args.collectives))
-    executor = SweepExecutor(workers=args.workers, cache=args.cache)
-    results = executor.run_sweep(base, nodes=nodes, patterns=patterns,
-                                 progress=lambda s: out.write(s + "\n"))
+    results = executor.run(plan_sweep(base, nodes, patterns),
+                           progress=lambda s: out.write(s + "\n"))
     _sweep_table(flat_records(results), args.app, out, args.csv)
     errors = executor.last_stats.errors  # type: ignore[union-attr]
     for err in errors:

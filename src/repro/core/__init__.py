@@ -12,11 +12,11 @@ Top-level entry points::
 from .experiment import ExperimentConfig, run_experiment, run_with_baseline
 from .machine import Machine, MachineConfig, RankProgram
 from .results import ComparisonResult, RunResult
-from .runner import flat_records, sweep, sweep_records
+from .runner import flat_records, sweep_records
 
 __all__ = [
     "Machine", "MachineConfig", "RankProgram",
     "ExperimentConfig", "run_experiment", "run_with_baseline",
     "RunResult", "ComparisonResult",
-    "sweep", "sweep_records", "flat_records",
+    "sweep_records", "flat_records",
 ]

@@ -123,6 +123,10 @@ class ExperimentConfig:
                              critical_path=(self.critical_path
                                             or self.record_edges))
 
+    def run(self) -> RunResult:
+        """Execute this configuration (:func:`run_experiment`)."""
+        return _t.cast(RunResult, run_experiment(self))
+
     def quiet_twin(self) -> "ExperimentConfig":
         """The same experiment with no injected noise.
 

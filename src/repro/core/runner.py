@@ -1,8 +1,8 @@
-"""Parameter-sweep runner: the engine behind the scaling figures.
+"""Sweep records: the flat table form of a scaling sweep.
 
-A sweep crosses machine sizes with noise patterns (and optionally other
-config axes), reusing one quiet baseline per machine size, and yields
-flat record dicts ready for :func:`repro.analysis.format_table`.
+A sweep crosses machine sizes with noise patterns, reusing one quiet
+baseline per machine size, and yields flat record dicts ready for
+:func:`repro.analysis.format_table`.
 
 Execution is delegated to :class:`repro.parallel.SweepExecutor`: pass
 ``workers=N`` to fan the independent points over N processes (results
@@ -22,20 +22,20 @@ from .results import ComparisonResult, RunResult
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel import ResultCache
 
-__all__ = ["sweep", "sweep_records", "flat_records"]
+__all__ = ["sweep_records", "flat_records"]
 
 
-def sweep(base: ExperimentConfig, *, nodes: _t.Sequence[int],
-          patterns: _t.Sequence[str],
-          progress: _t.Callable[[str], None] | None = None,
-          workers: int | None = 1,
-          cache: "ResultCache | str | os.PathLike[str] | None" = None
-          ) -> dict[tuple[int, str], ComparisonResult | RunResult]:
-    """Cross ``nodes`` x ``patterns``; quiet baselines are shared.
+def sweep_records(base: ExperimentConfig, *, nodes: _t.Sequence[int],
+                  patterns: _t.Sequence[str],
+                  progress: _t.Callable[[str], None] | None = None,
+                  workers: int | None = 1,
+                  cache: "ResultCache | str | os.PathLike[str] | None" = None
+                  ) -> list[dict[str, _t.Any]]:
+    """Cross ``nodes`` x ``patterns``; one flat dict per point.
 
-    Returns a mapping from ``(n_nodes, pattern)`` to a
-    :class:`ComparisonResult` (noisy patterns) or bare
-    :class:`RunResult` (the quiet point itself).
+    Records are sorted by ``(nodes, pattern)`` — not by execution or
+    completion order — so the output is stable for any ``workers``
+    setting.
 
     Parameters
     ----------
@@ -46,28 +46,11 @@ def sweep(base: ExperimentConfig, *, nodes: _t.Sequence[int],
         Optional on-disk result cache (directory path or
         :class:`~repro.parallel.ResultCache`).
     """
-    from ..parallel import SweepExecutor
+    from ..parallel import SweepExecutor, plan_sweep
 
     executor = SweepExecutor(workers=workers, cache=cache)
-    return executor.run_sweep(base, nodes=nodes, patterns=patterns,
-                              progress=progress)
-
-
-def sweep_records(base: ExperimentConfig, *, nodes: _t.Sequence[int],
-                  patterns: _t.Sequence[str],
-                  progress: _t.Callable[[str], None] | None = None,
-                  workers: int | None = 1,
-                  cache: "ResultCache | str | os.PathLike[str] | None" = None
-                  ) -> list[dict[str, _t.Any]]:
-    """Flat dict-per-point records (for tables/CSV).
-
-    Records are sorted by ``(nodes, pattern)`` — not by execution or
-    completion order — so the output is stable for any ``workers``
-    setting.
-    """
-    return flat_records(sweep(base, nodes=nodes, patterns=patterns,
-                              progress=progress, workers=workers,
-                              cache=cache))
+    return flat_records(executor.run(plan_sweep(base, nodes, patterns),
+                                     progress=progress))
 
 
 def flat_records(results: _t.Mapping[tuple[int, str],

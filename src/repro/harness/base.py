@@ -1,11 +1,20 @@
 """Experiment harness plumbing.
 
-Every paper experiment (E1–E10) is one module exposing a
-``run(scale) -> ExperimentReport``.  A report carries the table the
-experiment regenerates (headers + rows), free-form findings, and a
-``checks`` dict of named booleans asserting the *shape* of the result
-(who wins, what grows, what stays flat) — the reproduction criteria
-from DESIGN.md, executable.
+Every paper experiment (E1–E20) is one module exposing its
+simulations and its analysis separately:
+
+* ``plan(scale, seed) -> ComparisonPlan`` — the independent simulation
+  points the experiment needs (:mod:`repro.parallel.plan`; empty for
+  experiments that only drive single machines directly);
+* ``reduce(scale, seed, results) -> ExperimentReport`` — the report,
+  from the plan's assembled cells.
+
+The registry alone runs plans, through the executor its caller passes
+(:func:`repro.harness.run_experiment`, :func:`repro.harness.run_all`).
+A report carries the table the experiment regenerates (headers +
+rows), free-form findings, and a ``checks`` dict of named booleans
+asserting the *shape* of the result (who wins, what grows, what stays
+flat) — the reproduction criteria from DESIGN.md, executable.
 
 Scales:
 
@@ -20,11 +29,9 @@ from dataclasses import dataclass, field
 
 from ..analysis.tables import format_csv, format_table
 from ..errors import ConfigError
-from ..parallel import SweepExecutor
+from ..parallel import ComparisonPlan
 
-__all__ = ["ExperimentReport", "Scale", "check_scale",
-           "ExecutionPolicy", "execution_policy", "set_execution_policy",
-           "policy_executor"]
+__all__ = ["ExperimentReport", "Scale", "check_scale", "no_points"]
 
 Scale = str
 _SCALES = ("small", "full")
@@ -36,54 +43,9 @@ def check_scale(scale: Scale) -> Scale:
     return scale
 
 
-@dataclass
-class ExecutionPolicy:
-    """How harness experiments execute their sweeps.
-
-    Experiments stay pure ``run(scale) -> report`` functions; the CLI
-    (``--workers`` / ``--cache``) sets this process-wide policy and
-    experiments run their points through :func:`policy_executor`.
-
-    Attributes
-    ----------
-    workers:
-        Process fan-out for sweep points (1 = serial in-process;
-        ``None``/0 = one per CPU).
-    cache:
-        Optional on-disk result-cache directory (or a
-        :class:`~repro.parallel.ResultCache`).
-    """
-
-    workers: int | None = 1
-    cache: _t.Any = None
-
-
-_POLICY = ExecutionPolicy()
-
-
-def execution_policy() -> ExecutionPolicy:
-    """The process-wide harness execution policy."""
-    return _POLICY
-
-
-def set_execution_policy(*, workers: int | None = None,
-                         cache: _t.Any = None) -> ExecutionPolicy:
-    """Update the process-wide policy; returns it.
-
-    ``workers=None`` leaves the current worker setting untouched (use
-    ``workers=0`` for "one per CPU"); ``cache=None`` leaves caching
-    untouched and ``cache=""`` disables it.
-    """
-    if workers is not None:
-        _POLICY.workers = workers
-    if cache is not None:
-        _POLICY.cache = None if cache == "" else cache
-    return _POLICY
-
-
-def policy_executor() -> SweepExecutor:
-    """A :class:`~repro.parallel.SweepExecutor` honouring the policy."""
-    return SweepExecutor(workers=_POLICY.workers, cache=_POLICY.cache)
+def no_points(scale: Scale, seed: int) -> ComparisonPlan:
+    """The plan of an experiment that drives its machines directly."""
+    return ComparisonPlan((), {})
 
 
 @dataclass

@@ -17,23 +17,35 @@ from __future__ import annotations
 from ...analysis.absorption import BSPModel
 from ...core import ExperimentConfig
 from ...noise import parse_pattern
+from ...parallel import ComparisonPlan, plan_comparisons
 from ...sim.timebase import MICROSECOND, MILLISECOND
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E10"
 TITLE = "Analytic model vs simulation; large-P extrapolation"
+SEED = 103
 
 _WORK = 1 * MILLISECOND
 #: Critical-path cost of one collective round on the seastar preset
 #: (2 o + L + NIC descriptor post, small message).
 _ROUND = 2 * 500 + 2 * MICROSECOND + 1000
+_PATTERNS = ["2.5pct@10Hz", "2.5pct@1000Hz"]
+_SIM_NODES = {"small": [4, 16, 64], "full": [4, 16, 64, 256]}
 
 
-def run(scale: Scale = "small", *, seed: int = 103) -> ExperimentReport:
-    check_scale(scale)
-    sim_nodes = [4, 16, 64] if scale == "small" else [4, 16, 64, 256]
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({
+        (p, pattern): ExperimentConfig(
+            app="bsp", nodes=p, noise_pattern=pattern, seed=seed,
+            kernel="lightweight",
+            app_params=dict(work_ns=_WORK, iterations=60))
+        for p in _SIM_NODES[scale] for pattern in _PATTERNS})
+
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    sim_nodes = _SIM_NODES[scale]
     extrapolate = [256, 4096, 65536]
-    patterns = ["2.5pct@10Hz", "2.5pct@1000Hz"]
+    patterns = _PATTERNS
     model = BSPModel(work_ns=_WORK, round_cost_ns=_ROUND)
 
     headers = ["nodes", "pattern", "sim slowdown %", "model slowdown %",
@@ -41,16 +53,10 @@ def run(scale: Scale = "small", *, seed: int = 103) -> ExperimentReport:
     rows = []
     agreement: list[float] = []
     sim_slow: dict[tuple[int, str], float] = {}
-    comparisons = policy_executor().run_comparisons({
-        (p, pattern): ExperimentConfig(
-            app="bsp", nodes=p, noise_pattern=pattern, seed=seed,
-            kernel="lightweight",
-            app_params=dict(work_ns=_WORK, iterations=60))
-        for p in sim_nodes for pattern in patterns})
     for p in sim_nodes:
         for pattern in patterns:
             src = parse_pattern(pattern)
-            sim = comparisons[(p, pattern)].slowdown.slowdown_fraction
+            sim = results[(p, pattern)].slowdown.slowdown_fraction
             pred = model.predict(p, src.period, src.duration)
             sim_slow[(p, pattern)] = sim
             ratio = (pred.slowdown_fraction / sim) if sim > 0 else float("nan")

@@ -15,46 +15,46 @@ processing still adds delivery latency).
 
 from __future__ import annotations
 
-from ...apps import POPLikeApp
-from ...core import Machine, MachineConfig
+from ...core import ExperimentConfig
 from ...kernel import KernelConfig, NICCostModel
-from ..base import ExperimentReport, Scale, check_scale
+from ...parallel import ComparisonPlan, plan_points
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E11"
 TITLE = "Core-specialization mitigation (kernel off the app core)"
+SEED = 113
+
+#: The achievable floor for a host-driven NIC: identical hardware and
+#: NIC cost model, but zero kernel background activity.  The
+#: lightweight ideal additionally enjoys an offloaded NIC, which no
+#: scheduling mitigation can emulate.
+_SILENT_COMMODITY = KernelConfig(
+    name="commodity-silent", hz=0, tick_cost_ns=0, tick_heavy_cost_ns=0,
+    tick_heavy_probability=0.0, daemons=(), syscall_ns=1000,
+    nic=NICCostModel())
+
+#: configuration -> (kernel, core specialization).
+_MACHINES = {
+    "lightweight ideal (offloaded NIC)": ("lightweight", False),
+    "commodity floor (silent kernel)": (_SILENT_COMMODITY, False),
+    "commodity shared core": ("commodity-linux", False),
+    "commodity + specialization": ("commodity-linux", True),
+}
+_NODES = {"small": 32, "full": 128}
 
 
-def _span(kernel, isolate: bool, nodes: int, seed: int) -> int:
-    machine = Machine(MachineConfig(n_nodes=nodes, kernel=kernel,
-                                    seed=seed, isolate_noise=isolate))
-    app = POPLikeApp(baroclinic_ns=5_000_000, solver_iterations=30,
-                     solver_compute_ns=20_000, iterations=4)
-    machine.run_to_completion(machine.launch(app))
-    return app.makespan_ns()
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_points({
+        name: ExperimentConfig(
+            app="pop", nodes=_NODES[scale], kernel=kernel, seed=seed,
+            isolate_noise=isolate,
+            app_params=dict(baroclinic_ns=5_000_000, solver_iterations=30,
+                            solver_compute_ns=20_000, iterations=4))
+        for name, (kernel, isolate) in _MACHINES.items()})
 
 
-def run(scale: Scale = "small", *, seed: int = 113) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 32 if scale == "small" else 128
-
-    # The achievable floor for a host-driven NIC: identical hardware and
-    # NIC cost model, but zero kernel background activity.  The
-    # lightweight ideal additionally enjoys an offloaded NIC, which no
-    # scheduling mitigation can emulate.
-    silent_commodity = KernelConfig(
-        name="commodity-silent", hz=0, tick_cost_ns=0, tick_heavy_cost_ns=0,
-        tick_heavy_probability=0.0, daemons=(), syscall_ns=1000,
-        nic=NICCostModel())
-
-    spans = {
-        "lightweight ideal (offloaded NIC)":
-            _span("lightweight", False, nodes, seed),
-        "commodity floor (silent kernel)":
-            _span(silent_commodity, False, nodes, seed),
-        "commodity shared core": _span("commodity-linux", False, nodes, seed),
-        "commodity + specialization": _span("commodity-linux", True, nodes,
-                                            seed),
-    }
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    spans = {name: results[name].makespan_ns for name in _MACHINES}
     ideal = spans["lightweight ideal (offloaded NIC)"]
     floor = spans["commodity floor (silent kernel)"]
     shared = spans["commodity shared core"]
@@ -87,6 +87,6 @@ def run(scale: Scale = "small", *, seed: int = 113) -> ExperimentReport:
     }
     return ExperimentReport(EXPERIMENT_ID, TITLE, headers, rows,
                             checks=checks, findings=findings,
-                            notes=f"POP-like, P={nodes}; specialization "
+                            notes=f"POP-like, P={_NODES[scale]}; specialization "
                                   "moves kernel activity + NIC rx to a "
                                   "spare core")

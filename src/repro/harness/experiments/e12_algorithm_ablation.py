@@ -14,31 +14,34 @@ chain makes it the most fragile in absolute time.
 from __future__ import annotations
 
 from ...core import ExperimentConfig
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_comparisons
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E12"
 TITLE = "Allreduce algorithm ablation under identical noise"
+SEED = 127
 
 _ALGORITHMS = ("recursive-doubling", "reduce-bcast", "ring")
+_PATTERN = "2.5pct@10Hz"
+_NODES = {"small": 32, "full": 64}
 
 
-def run(scale: Scale = "small", *, seed: int = 127) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 32 if scale == "small" else 64
-    pattern = "2.5pct@10Hz"
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({
+        alg: ExperimentConfig(
+            app="bsp", nodes=_NODES[scale], noise_pattern=_PATTERN,
+            seed=seed, app_params=dict(work_ns=1_000_000, iterations=30,
+                                       algorithm=alg))
+        for alg in _ALGORITHMS})
 
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     headers = ["algorithm", "quiet ms", "noisy ms", "slowdown %"]
     rows = []
     quiet_span: dict[str, int] = {}
     noisy_span: dict[str, int] = {}
-    comparisons = policy_executor().run_comparisons({
-        alg: ExperimentConfig(
-            app="bsp", nodes=nodes, noise_pattern=pattern, seed=seed,
-            app_params=dict(work_ns=1_000_000, iterations=30,
-                            algorithm=alg))
-        for alg in _ALGORITHMS})
     for alg in _ALGORITHMS:
-        cmp = comparisons[alg]
+        cmp = results[alg]
         quiet_span[alg] = cmp.quiet.makespan_ns
         noisy_span[alg] = cmp.noisy.makespan_ns
         rows.append([alg, round(cmp.quiet.makespan_ns / 1e6, 3),
@@ -61,5 +64,5 @@ def run(scale: Scale = "small", *, seed: int = 127) -> ExperimentReport:
     }
     return ExperimentReport(EXPERIMENT_ID, TITLE, headers, rows,
                             checks=checks, findings=findings,
-                            notes=f"BSP 8-byte allreduce, P={nodes}, "
-                                  f"pattern={pattern}")
+                            notes=f"BSP 8-byte allreduce, P={_NODES[scale]}, "
+                                  f"pattern={_PATTERN}")

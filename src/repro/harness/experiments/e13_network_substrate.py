@@ -17,33 +17,35 @@ noise-exposed networking, compounding.
 from __future__ import annotations
 
 from ...core import ExperimentConfig
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_comparisons
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E13"
 TITLE = "Noise amplification vs interconnect speed"
+SEED = 131
 
 _NETWORKS = ("seastar", "infiniband", "gige")
+_NODES = {"small": 16, "full": 64}
 
 
-def run(scale: Scale = "small", *, seed: int = 131) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 16 if scale == "small" else 64
-    app_params = dict(baroclinic_ns=2_000_000, solver_iterations=30,
-                      solver_compute_ns=10_000, iterations=4)
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({
+        net: ExperimentConfig(
+            app="pop", nodes=_NODES[scale], noise_pattern="2.5pct@10Hz",
+            network=net, seed=seed, kernel="lightweight",
+            app_params=dict(baroclinic_ns=2_000_000, solver_iterations=30,
+                            solver_compute_ns=10_000, iterations=4))
+        for net in _NETWORKS})
 
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     headers = ["network", "quiet ms", "noisy ms", "slowdown %",
                "added ms"]
     rows = []
     rel: dict[str, float] = {}
     added: dict[str, float] = {}
-    comparisons = policy_executor().run_comparisons({
-        net: ExperimentConfig(
-            app="pop", nodes=nodes, noise_pattern="2.5pct@10Hz",
-            network=net, seed=seed, kernel="lightweight",
-            app_params=app_params)
-        for net in _NETWORKS})
     for net in _NETWORKS:
-        cmp = comparisons[net]
+        cmp = results[net]
         rel[net] = cmp.slowdown.slowdown_fraction
         added[net] = (cmp.noisy.makespan_ns - cmp.quiet.makespan_ns) / 1e6
         rows.append([net, round(cmp.quiet.makespan_ns / 1e6, 2),
@@ -68,5 +70,5 @@ def run(scale: Scale = "small", *, seed: int = 131) -> ExperimentReport:
     }
     return ExperimentReport(EXPERIMENT_ID, TITLE, headers, rows,
                             checks=checks, findings=findings,
-                            notes=f"POP-like, P={nodes}, 2.5pct@10Hz, "
+                            notes=f"POP-like, P={_NODES[scale]}, 2.5pct@10Hz, "
                                   "random phases")

@@ -21,29 +21,44 @@ injected source.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ...analysis.absorption import BSPModel
-from ...core import ExperimentConfig, run_experiment, run_with_baseline
+from ...core import ExperimentConfig, Machine, MachineConfig, run_experiment
 from ...ktau import attribute_intervals
 from ...microbench import FTQBenchmark, SelfishBenchmark
 from ...noise import InjectionPlan
-from ...core import Machine, MachineConfig
+from ...parallel import ComparisonPlan, plan_comparisons
 from ...sim import MICROSECOND, MILLISECOND, SECOND
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E14"
 TITLE = "Indirect inference vs direct observation of noise impact"
+SEED = 149
 
 _PATTERN = "2.5pct@10Hz"
 _WORK = 1 * MILLISECOND
 _ROUND = 2 * 500 + 2 * MICROSECOND + 1000  # seastar critical-path round
 
 
-def run(scale: Scale = "small", *, seed: int = 149) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 32 if scale == "small" else 128
-    iterations = 60 if scale == "small" else 200
+def _direct(scale: Scale, seed: int) -> ExperimentConfig:
+    """The noisy BSP run measured (and observed) directly."""
+    return ExperimentConfig(
+        app="bsp", nodes=32 if scale == "small" else 128,
+        noise_pattern=_PATTERN, seed=seed,
+        app_params=dict(work_ns=_WORK,
+                        iterations=60 if scale == "small" else 200))
+
+
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({"direct": _direct(scale, seed)})
+
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    direct = _direct(scale, seed)
+    nodes = direct.nodes
 
     # --- 1. Indirect: FTQ on one node of the noisy machine. -------------
     probe = Machine(MachineConfig(
@@ -65,17 +80,10 @@ def run(scale: Scale = "small", *, seed: int = 149) -> ExperimentReport:
                                      duration_est).slowdown_fraction
 
     # --- 3. Direct: measured slowdown + attribution. ----------------------
-    cmp = run_with_baseline(ExperimentConfig(
-        app="bsp", nodes=nodes, noise_pattern=_PATTERN, seed=seed,
-        app_params=dict(work_ns=_WORK, iterations=iterations)))
-    measured = cmp.slowdown.slowdown_fraction
-
-    _result, tracer = run_experiment(
-        ExperimentConfig(app="bsp", nodes=nodes, noise_pattern=_PATTERN,
-                         seed=seed, observer="trace",
-                         app_params=dict(work_ns=_WORK,
-                                         iterations=iterations)),
-        return_tracer=True)
+    # The traced run stays here: its tracer cannot cross a process.
+    measured = results["direct"].slowdown.slowdown_fraction
+    _result, tracer = run_experiment(replace(direct, observer="trace"),
+                                     return_tracer=True)
     atts = attribute_intervals(tracer, 0, "bsp:iteration")
     injected_name = _PATTERN.lower()
     charged = sum(a.stolen_by_source.get(injected_name, 0) for a in atts)

@@ -23,31 +23,33 @@ from dataclasses import replace
 
 from ...core import ExperimentConfig
 from ...faults import FaultPlan
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_points
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E15"
 TITLE = "Fault resilience: drop-rate x ack-timeout recovery cost"
+SEED = 151
 
 _DROP_RATES = (0.0, 0.01, 0.03, 0.08)
 _TIMEOUTS_NS = (200_000, 1_000_000)  # 200 us (tight), 1 ms (lazy)
 _DUP_RATE = 0.05
+_DUP_KEY = ("dup", _DUP_RATE)
+_NODES = {"small": 8, "full": 32}
 
 
 def _label(timeout_ns: int) -> str:
     return f"{timeout_ns // 1000}us"
 
 
-def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 8 if scale == "small" else 32
-    iterations = 20 if scale == "small" else 60
-    app_params = dict(work_ns=500_000, iterations=iterations,
-                      collective="allreduce")
-    base = ExperimentConfig(app="bsp", nodes=nodes, noise_pattern="quiet",
-                            seed=seed, kernel="lightweight",
-                            app_params=app_params)
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    base = ExperimentConfig(
+        app="bsp", nodes=_NODES[scale], noise_pattern="quiet", seed=seed,
+        kernel="lightweight",
+        app_params=dict(work_ns=500_000,
+                        iterations=20 if scale == "small" else 60,
+                        collective="allreduce"))
 
-    def plan(drop: float, timeout_ns: int, dup: float = 0.0) -> FaultPlan:
+    def faults(drop: float, timeout_ns: int, dup: float = 0.0) -> FaultPlan:
         return FaultPlan(drop_rate=drop, duplicate_rate=dup, seed=seed,
                          ack_timeout_ns=timeout_ns)
 
@@ -56,15 +58,16 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
     for timeout_ns in _TIMEOUTS_NS:
         for drop in _DROP_RATES:
             key = ("fault", drop, timeout_ns)
-            configs[key] = replace(base, faults=plan(drop, timeout_ns))
+            configs[key] = replace(base, faults=faults(drop, timeout_ns))
             labels[key] = f"drop={drop} timeout={_label(timeout_ns)}"
-    dup_key = ("dup", _DUP_RATE)
-    configs[dup_key] = replace(base, faults=plan(0.0, _TIMEOUTS_NS[0],
-                                              dup=_DUP_RATE))
-    labels[dup_key] = f"dup={_DUP_RATE}"
+    configs[_DUP_KEY] = replace(base, faults=faults(0.0, _TIMEOUTS_NS[0],
+                                                 dup=_DUP_RATE))
+    labels[_DUP_KEY] = f"dup={_DUP_RATE}"
+    return plan_points(configs, labels)
 
-    points, _timings = policy_executor().run_configs(configs, labels=labels)
-    base_ns = points[("base",)].makespan_ns
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    base_ns = results[("base",)].makespan_ns
 
     headers = ["drop rate", "ack timeout", "makespan ms", "slowdown %",
                "retries", "dropped", "dup suppressed"]
@@ -74,7 +77,7 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
     per_node: dict[str, dict[str, int]] = {}
     for timeout_ns in _TIMEOUTS_NS:
         for drop in _DROP_RATES:
-            res = points[("fault", drop, timeout_ns)]
+            res = results[("fault", drop, timeout_ns)]
             sd = res.makespan_ns / base_ns - 1.0
             fs = res.meta.get("faults") or {}
             slowdowns[timeout_ns].append(sd)
@@ -90,7 +93,7 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
                          fs.get("total_retries", 0),
                          fs.get("messages_dropped", 0),
                          fs.get("total_duplicates_suppressed", 0)])
-    dup_res = points[dup_key]
+    dup_res = results[_DUP_KEY]
     dup_fs = dup_res.meta.get("faults") or {}
     rows.append([f"0 (dup={_DUP_RATE})", _label(_TIMEOUTS_NS[0]),
                  round(dup_res.makespan_ns / 1e6, 3),
@@ -102,7 +105,7 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
     tight, lazy = _TIMEOUTS_NS
     checks = {
         "drop=0 is bit-identical to the fault-free machine": all(
-            points[("fault", 0.0, t)].makespan_ns == base_ns
+            results[("fault", 0.0, t)].makespan_ns == base_ns
             for t in _TIMEOUTS_NS),
         "slowdown non-decreasing in drop rate (tight timeout)":
             all(a <= b for a, b in zip(slowdowns[tight],
@@ -116,7 +119,7 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
             slowdowns[lazy][-1] >= slowdowns[tight][-1],
         "duplicates are suppressed without retransmission cost":
             dup_fs.get("total_duplicates_suppressed", 0) > 0
-            and dup_res.makespan_ns < points[
+            and dup_res.makespan_ns < results[
                 ("fault", _DROP_RATES[-1], tight)].makespan_ns,
     }
     findings = {
@@ -130,6 +133,6 @@ def run(scale: Scale = "small", *, seed: int = 151) -> ExperimentReport:
     return ExperimentReport(
         EXPERIMENT_ID, TITLE, headers, rows, checks=checks,
         findings=findings,
-        notes=(f"BSP allreduce, P={nodes}, quiet noise; drop rates "
+        notes=(f"BSP allreduce, P={_NODES[scale]}, quiet noise; drop rates "
                f"{list(_DROP_RATES)} x ack timeouts "
                f"{[_label(t) for t in _TIMEOUTS_NS]}, seed={seed}"))

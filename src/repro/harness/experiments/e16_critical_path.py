@@ -33,10 +33,12 @@ from ...apps import BSPApp
 from ...core import Machine, MachineConfig
 from ...noise import PeriodicNoise
 from ...obs.critpath import diff_critical_paths
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, no_points
 
 EXPERIMENT_ID = "E16"
 TITLE = "Critical-path attribution vs planted ground truth"
+SEED = 161
+plan = no_points
 
 #: The planted source: 25 us stolen every 250 us (10 % of one node).
 _GHOST_PERIOD = 250_000
@@ -59,8 +61,7 @@ def _run_once(n_nodes: int, iterations: int, seed: int,
     return app.makespan_ns(), machine.critical_path().as_dict()
 
 
-def run(scale: Scale = "small", *, seed: int = 161) -> ExperimentReport:
-    check_scale(scale)
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     n_nodes = 8 if scale == "small" else 32
     iterations = 20 if scale == "small" else 80
     ghost_node = n_nodes // 2

@@ -21,12 +21,14 @@ algorithm is carried to the top scale.
 from __future__ import annotations
 
 from ...core import MachineConfig
-from ...microbench import CollectiveBenchmark
+from ...microbench import CollectiveBenchmark, CollectivePoint
 from ...noise import InjectionPlan
-from ..base import ExperimentReport, Scale, check_scale
+from ...parallel import ComparisonPlan, plan_points
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E17"
 TITLE = "Extreme-scale allreduce amplification, flat vs two-level"
+SEED = 31
 
 #: (nodes, fat-tree shape, reps per quiet point).
 _FULL_POINTS = (
@@ -54,41 +56,50 @@ def _reps_for(pattern: str, nodes: int, reps: int) -> int:
     return reps
 
 
-def run(scale: Scale = "small", *, seed: int = 31) -> ExperimentReport:
-    check_scale(scale)
-    points = _SMALL_POINTS if scale == "small" else _FULL_POINTS
-    algorithms = ("recursive-doubling", "two-level")
+_ALGORITHMS = ("recursive-doubling", "two-level")
 
-    headers = ["nodes", "algorithm", "pattern", "mean us", "p99 us",
-               "mean/quiet"]
-    rows = []
-    mean_ratio: dict[tuple[int, str, str], float] = {}
-    quiet_mean: dict[tuple[int, str], float] = {}
-    stats: dict[str, int] = {}
-    for nodes, shape, base_reps in points:
-        for algo in algorithms:
+
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    points = {}
+    for nodes, shape, reps in (_SMALL_POINTS if scale == "small"
+                               else _FULL_POINTS):
+        for algo in _ALGORITHMS:
             if algo == "recursive-doubling" and nodes > _FLAT_LIMIT:
                 continue
             for pattern in _PATTERNS:
                 injection = (None if pattern == "quiet"
                              else InjectionPlan(pattern, seed=seed))
-                config = MachineConfig(
-                    n_nodes=nodes, kernel="lightweight", network="seastar",
-                    topology=f"hier:{shape}", shape=shape,
-                    injection=injection, seed=seed)
-                bench = CollectiveBenchmark(
-                    "allreduce", repetitions=_reps_for(pattern, nodes,
-                                                       base_reps),
-                    message_size=8, algorithm=algo, gap_ns=500_000)
-                res = bench.run_auto(config, tie_break="deterministic",
-                                     stats_out=stats)
-                if pattern == "quiet":
-                    quiet_mean[(nodes, algo)] = res.mean_ns
-                ratio = res.mean_ns / quiet_mean[(nodes, algo)]
-                mean_ratio[(nodes, algo, pattern)] = ratio
-                rows.append([nodes, algo, pattern,
-                             round(res.mean_ns / 1e3, 2),
-                             round(res.p99_ns / 1e3, 2), round(ratio, 3)])
+                points[(nodes, algo, pattern)] = CollectivePoint(
+                    MachineConfig(n_nodes=nodes, kernel="lightweight",
+                                  network="seastar", topology=f"hier:{shape}",
+                                  shape=shape, injection=injection, seed=seed),
+                    CollectiveBenchmark(
+                        "allreduce", repetitions=_reps_for(pattern, nodes,
+                                                           reps),
+                        message_size=8, algorithm=algo, gap_ns=500_000),
+                    tie_break="deterministic")
+    return plan_points(points)
+
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    points = _SMALL_POINTS if scale == "small" else _FULL_POINTS
+    headers = ["nodes", "algorithm", "pattern", "mean us", "p99 us",
+               "mean/quiet"]
+    rows = []
+    mean_ratio: dict[tuple[int, str, str], float] = {}
+    quiet_mean: dict[tuple[int, str], float] = {}
+    fixpoint_reps = tie_breaks = 0
+    # Cells come in plan order: each (nodes, algorithm) quiet first.
+    for (nodes, algo, pattern), res in results.items():
+        fixpoint_reps += res.meta["fixpoint_reps"]
+        tie_breaks += res.meta["tie_breaks"]
+        if pattern == "quiet":
+            quiet_mean[(nodes, algo)] = res.mean_ns
+        ratio = res.mean_ns / quiet_mean[(nodes, algo)]
+        mean_ratio[(nodes, algo, pattern)] = ratio
+        rows.append([nodes, algo, pattern,
+                     round(res.mean_ns / 1e3, 2),
+                     round(res.p99_ns / 1e3, 2), round(ratio, 3)])
 
     p_lo = points[0][0]
     p_hi = points[-1][0]
@@ -116,9 +127,8 @@ def run(scale: Scale = "small", *, seed: int = 31) -> ExperimentReport:
              "bulk-rank fast path with round-order tie resolution; flat "
              f"recursive doubling stops at {_FLAT_LIMIT} nodes (noisy "
              "arrival cascades only settle on the event path beyond it)")
-    if stats.get("fixpoint_reps") or stats.get("tie_breaks"):
-        notes += (f"; {stats.get('fixpoint_reps', 0)} repetitions needed "
-                  f"the arrival fixpoint, {stats.get('tie_breaks', 0)} "
-                  f"ties resolved")
+    if fixpoint_reps or tie_breaks:
+        notes += (f"; {fixpoint_reps} repetitions needed the arrival "
+                  f"fixpoint, {tie_breaks} ties resolved")
     return ExperimentReport(EXPERIMENT_ID, TITLE, headers, rows,
                             checks=checks, findings=findings, notes=notes)

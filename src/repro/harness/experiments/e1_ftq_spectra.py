@@ -16,10 +16,12 @@ from ...analysis.spectral import find_peaks
 from ...core import Machine, MachineConfig
 from ...microbench import FTQBenchmark
 from ...noise import InjectionPlan
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, no_points
 
 EXPERIMENT_ID = "E1"
 TITLE = "FTQ noise signatures and spectra per kernel"
+SEED = 11
+plan = no_points
 
 
 def _node(kernel: str, injection: InjectionPlan | None, seed: int):
@@ -28,8 +30,7 @@ def _node(kernel: str, injection: InjectionPlan | None, seed: int):
     return machine.nodes[0]
 
 
-def run(scale: Scale = "small", *, seed: int = 11) -> ExperimentReport:
-    check_scale(scale)
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     n_quanta = 2048 if scale == "small" else 16384
     bench = FTQBenchmark(n_quanta=n_quanta)
 

@@ -31,7 +31,7 @@ the slack that absorbs it.  This experiment plants exactly that probe
   stolen time — strictly periodic noise steals nearly equally from
   every rank per iteration and can leave the wave untouched.)
 
-Every run is routed through :class:`~repro.parallel.SweepExecutor`,
+Every run is a plan point run by :class:`~repro.parallel.SweepExecutor`,
 so ``--workers`` fan-out must reproduce the serial report
 byte-for-byte (the wavefront extractor is pure arithmetic over edge
 logs that ride home in ``RunResult.meta``).
@@ -58,10 +58,12 @@ from dataclasses import replace
 from ...core import ExperimentConfig
 from ...faults import FaultPlan
 from ...obs.wavefront import WavefrontResult, extract_wavefront
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_points
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E20"
 TITLE = "Idle-wave propagation & decay from a planted one-off delay"
+SEED = 201
 
 #: Speed axis: BSP + allreduce, quiet machine.
 _SPEED_T0_NS = 2_000_000
@@ -103,19 +105,17 @@ def _fmt_decay(value: float) -> str:
     return "inf" if math.isinf(value) else f"{value:.2f}"
 
 
-def run(scale: Scale = "small", *, seed: int = 201) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 16 if scale == "small" else 32
-    shape = "4x2x2@fat-tree" if scale == "small" else "4x4x2@fat-tree"
-    bsp_iterations = 30 if scale == "small" else 40
-    stencil_iterations = 100 if scale == "small" else 140
-    decay_source = _grid_interior_rank(nodes)
-    decay_patterns = _decay_patterns(scale)
+#: scale -> (ranks, two-level machine shape).
+_SIZES = {"small": (16, "4x2x2@fat-tree"), "full": (32, "4x4x2@fat-tree")}
 
+
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    nodes, shape = _SIZES[scale]
     speed_base = ExperimentConfig(
         app="bsp", nodes=nodes, noise_pattern="quiet", seed=seed,
         kernel="lightweight", record_edges=True,
-        app_params=dict(work_ns=_SPEED_WORK_NS, iterations=bsp_iterations))
+        app_params=dict(work_ns=_SPEED_WORK_NS,
+                        iterations=30 if scale == "small" else 40))
     speed_delay = FaultPlan(
         one_off=((_SPEED_SOURCE, _SPEED_T0_NS, _SPEED_DURATION_NS),),
         seed=seed)
@@ -123,43 +123,45 @@ def run(scale: Scale = "small", *, seed: int = 201) -> ExperimentReport:
         app="stencil", nodes=nodes, noise_pattern="quiet", seed=seed,
         kernel="lightweight", record_edges=True,
         app_params=dict(work_ns=_DECAY_WORK_NS,
-                        iterations=stencil_iterations, dt_interval=0))
+                        iterations=100 if scale == "small" else 140,
+                        dt_interval=0))
     decay_delay = FaultPlan(
-        one_off=((decay_source, _DECAY_T0_NS, _DECAY_DURATION_NS),),
+        one_off=((_grid_interior_rank(nodes), _DECAY_T0_NS,
+                  _DECAY_DURATION_NS),),
         seed=seed)
 
     configs: dict[tuple, ExperimentConfig] = {}
-    labels: dict[tuple, str] = {}
     for algo in ("ring", "two-level"):
         cfg = replace(speed_base, collectives={"allreduce": algo},
                       shape=shape if algo == "two-level" else None)
         configs[("speed", algo, "base")] = cfg
         configs[("speed", algo, "delayed")] = replace(cfg,
                                                       faults=speed_delay)
-        labels[("speed", algo, "base")] = f"speed {algo} baseline"
-        labels[("speed", algo, "delayed")] = f"speed {algo} delayed"
-    for pattern in decay_patterns:
+    for pattern in _decay_patterns(scale):
         cfg = replace(decay_base, noise_pattern=pattern)
         configs[("decay", pattern, "base")] = cfg
         configs[("decay", pattern, "delayed")] = replace(cfg,
                                                          faults=decay_delay)
-        labels[("decay", pattern, "base")] = f"decay {pattern} baseline"
-        labels[("decay", pattern, "delayed")] = f"decay {pattern} delayed"
+    return plan_points(configs, {key: " ".join(key) for key in configs})
 
-    points, _timings = policy_executor().run_configs(configs, labels=labels)
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    nodes, shape = _SIZES[scale]
+    decay_source = _grid_interior_rank(nodes)
+    decay_patterns = _decay_patterns(scale)
 
     speed_waves: dict[str, WavefrontResult] = {}
     for algo in ("ring", "two-level"):
         speed_waves[algo] = extract_wavefront(
-            points[("speed", algo, "base")].meta["edge_log"],
-            points[("speed", algo, "delayed")].meta["edge_log"],
+            results[("speed", algo, "base")].meta["edge_log"],
+            results[("speed", algo, "delayed")].meta["edge_log"],
             source_rank=_SPEED_SOURCE, t0_ns=_SPEED_T0_NS,
             duration_ns=_SPEED_DURATION_NS)
     decay_waves: dict[str, WavefrontResult] = {}
     for pattern in decay_patterns:
         decay_waves[pattern] = extract_wavefront(
-            points[("decay", pattern, "base")].meta["edge_log"],
-            points[("decay", pattern, "delayed")].meta["edge_log"],
+            results[("decay", pattern, "base")].meta["edge_log"],
+            results[("decay", pattern, "delayed")].meta["edge_log"],
             source_rank=decay_source, t0_ns=_DECAY_T0_NS,
             duration_ns=_DECAY_DURATION_NS)
 
@@ -189,8 +191,8 @@ def run(scale: Scale = "small", *, seed: int = 201) -> ExperimentReport:
     two_level = speed_waves["two-level"]
     ring_order = [(_SPEED_SOURCE + k) % nodes for k in range(nodes)]
     ring_makespan_shift = (
-        points[("speed", "ring", "delayed")].makespan_ns
-        - points[("speed", "ring", "base")].makespan_ns)
+        results[("speed", "ring", "delayed")].makespan_ns
+        - results[("speed", "ring", "base")].makespan_ns)
     decay_lengths = [decay_waves[p].effective_decay_length
                      for p in decay_patterns]
 

@@ -13,14 +13,15 @@ from __future__ import annotations
 from ...core import Machine, MachineConfig
 from ...apps import StencilApp
 from ...ktau import EventKind, KtauTracer, build_kernel_profile
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, no_points
 
 EXPERIMENT_ID = "E2"
 TITLE = "Per-activity kernel profile under a running application"
+SEED = 23
+plan = no_points
 
 
-def run(scale: Scale = "small", *, seed: int = 23) -> ExperimentReport:
-    check_scale(scale)
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     # The window must cover multiple activations of the slowest daemon
     # (kswapd at 1 Hz), so the simulated run spans a few seconds.
     iterations = 150 if scale == "small" else 600

@@ -16,45 +16,48 @@ also compute — compare E4.
 from __future__ import annotations
 
 from ...core import MachineConfig
-from ...microbench import CollectiveBenchmark
+from ...microbench import CollectiveBenchmark, CollectivePoint
 from ...noise import CANONICAL_SWEEP, InjectionPlan
-from ..base import ExperimentReport, Scale, check_scale
+from ...parallel import ComparisonPlan, plan_points
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E3"
 TITLE = "Allreduce latency vs node count per noise granularity"
+SEED = 31
+
+_PATTERNS = ("quiet", *CANONICAL_SWEEP)
+#: scale -> (node counts, repetitions per point).
+_SIZES = {"small": ([4, 16, 64], 40),
+          "full": ([4, 16, 64, 128, 256, 1024, 4096], 100)}
 
 
-def run(scale: Scale = "small", *, seed: int = 31) -> ExperimentReport:
-    check_scale(scale)
-    if scale == "small":
-        node_counts = [4, 16, 64]
-        reps = 40
-    else:
-        node_counts = [4, 16, 64, 128, 256, 1024, 4096]
-        reps = 100
-    patterns = ["quiet", *CANONICAL_SWEEP]
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    node_counts, reps = _SIZES[scale]
+    # The bulk-rank fast path (repro.sim.bulk) carries every qualifying
+    # point; strict ties fall back to the event path, and beyond the
+    # generator's practical range round-order tie resolution keeps the
+    # noisy points on the fast path (each resolved tie deviates at most
+    # one NIC gap from the DES).
+    return plan_points({
+        (p, pattern): CollectivePoint(
+            MachineConfig(n_nodes=p, kernel="lightweight", seed=seed,
+                          injection=(None if pattern == "quiet" else
+                                     InjectionPlan(pattern, seed=seed))),
+            CollectiveBenchmark("allreduce", repetitions=reps,
+                                gap_ns=500_000),
+            tie_break="deterministic" if p >= 1024 else "strict")
+        for p in node_counts for pattern in _PATTERNS})
 
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    node_counts, reps = _SIZES[scale]
     headers = ["nodes", "pattern", "mean us", "p99 us", "mean/quiet"]
     rows = []
     mean_ratio: dict[tuple[int, str], float] = {}
     for p in node_counts:
-        quiet_mean = None
-        for pattern in patterns:
-            injection = (None if pattern == "quiet"
-                         else InjectionPlan(pattern, seed=seed))
-            config = MachineConfig(n_nodes=p, kernel="lightweight",
-                                   injection=injection, seed=seed)
-            # The bulk-rank fast path (repro.sim.bulk) carries every
-            # qualifying point; strict ties fall back to the event path,
-            # and beyond the generator's practical range round-order tie
-            # resolution keeps the noisy points on the fast path (each
-            # resolved tie deviates at most one NIC gap from the DES).
-            tie = "deterministic" if p >= 1024 else "strict"
-            res = CollectiveBenchmark("allreduce", repetitions=reps,
-                                      gap_ns=500_000).run_auto(
-                                          config, tie_break=tie)
-            if pattern == "quiet":
-                quiet_mean = res.mean_ns
+        quiet_mean = results[(p, "quiet")].mean_ns
+        for pattern in _PATTERNS:
+            res = results[(p, pattern)]
             ratio = res.mean_ns / quiet_mean
             mean_ratio[(p, pattern)] = ratio
             rows.append([p, pattern, round(res.mean_ns / 1e3, 2),

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from ...core import ExperimentConfig
 from ...noise import CANONICAL_SWEEP
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_comparisons
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E4"
 TITLE = "Application slowdown vs node count per noise granularity"
+SEED = 41
 
 #: Per-app parameters sized so one run is seconds of wall clock.
 _APP_PARAMS = {
@@ -28,24 +30,30 @@ _APP_PARAMS = {
                     dt_interval=6),
     "cg": dict(spmv_ns=5_000_000, exchange_bytes=8192, iterations=12),
 }
+_NODES = {"small": [4, 16, 36], "full": [4, 16, 64, 121]}
 
 
-def run(scale: Scale = "small", *, seed: int = 41) -> ExperimentReport:
-    check_scale(scale)
-    node_counts = [4, 16, 36] if scale == "small" else [4, 16, 64, 121]
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({
+        (app, p, pattern): ExperimentConfig(
+            app=app, nodes=p, noise_pattern=pattern, seed=seed,
+            kernel="lightweight", app_params=params)
+        for app, params in _APP_PARAMS.items()
+        for p in _NODES[scale] for pattern in CANONICAL_SWEEP})
+
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
+    node_counts = _NODES[scale]
     patterns = list(CANONICAL_SWEEP)
 
     headers = ["app", "nodes", "pattern", "quiet ms", "noisy ms",
                "slowdown %", "amplification"]
     rows = []
     slow: dict[tuple[str, int, str], float] = {}
-    executor = policy_executor()
-    for app, params in _APP_PARAMS.items():
-        base = ExperimentConfig(app=app, seed=seed, kernel="lightweight",
-                                app_params=params)
-        results = executor.run_sweep(base, nodes=node_counts,
-                                     patterns=patterns)
-        for (p, pattern), cmp in sorted(results.items()):
+    for app in _APP_PARAMS:
+        for p, pattern in sorted((p, pat) for p in node_counts
+                                 for pat in patterns):
+            cmp = results[(app, p, pattern)]
             sd = cmp.slowdown
             slow[(app, p, pattern)] = sd.slowdown_fraction
             rows.append([app, p, pattern,

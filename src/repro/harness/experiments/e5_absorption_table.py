@@ -13,10 +13,12 @@ pair than on the net percentage — the table's whole point.
 from __future__ import annotations
 
 from ...core import ExperimentConfig
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_comparisons
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E5"
 TITLE = "Absorption vs amplification per (application, pattern)"
+SEED = 53
 
 _PATTERNS = ["2.5pct@10Hz", "2.5pct@100Hz", "2.5pct@1000Hz",
              "2.5pct@100HzPoisson", "2.5pct@10Hzburst8"]
@@ -29,25 +31,26 @@ _APP_PARAMS = {
     "cg": dict(spmv_ns=5_000_000, exchange_bytes=8192, iterations=12),
     "sweep": dict(block_work_ns=500_000, blocks_per_rank=6, iterations=4),
 }
+_NODES = {"small": 16, "full": 64}
 
 
-def run(scale: Scale = "small", *, seed: int = 53) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 16 if scale == "small" else 64
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({
+        (app, pattern): ExperimentConfig(
+            app=app, nodes=_NODES[scale], noise_pattern=pattern, seed=seed,
+            kernel="lightweight", app_params=params)
+        for app, params in _APP_PARAMS.items() for pattern in _PATTERNS})
 
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     headers = ["app", "pattern", "injected %", "slowdown %",
                "amplification", "verdict"]
     rows = []
     verdicts: dict[tuple[str, str], str] = {}
     amps: dict[tuple[str, str], float] = {}
-    comparisons = policy_executor().run_comparisons({
-        (app, pattern): ExperimentConfig(
-            app=app, nodes=nodes, noise_pattern=pattern, seed=seed,
-            kernel="lightweight", app_params=params)
-        for app, params in _APP_PARAMS.items() for pattern in _PATTERNS})
     for app in _APP_PARAMS:
         for pattern in _PATTERNS:
-            sd = comparisons[(app, pattern)].slowdown
+            sd = results[(app, pattern)].slowdown
             verdicts[(app, pattern)] = sd.verdict
             amps[(app, pattern)] = sd.amplification
             rows.append([app, pattern,
@@ -80,4 +83,4 @@ def run(scale: Scale = "small", *, seed: int = 53) -> ExperimentReport:
                  for a in _APP_PARAMS for p in _PATTERNS}}
     return ExperimentReport(EXPERIMENT_ID, TITLE, headers, rows,
                             checks=checks, findings=findings,
-                            notes=f"P={nodes}, random per-node phases")
+                            notes=f"P={_NODES[scale]}, random per-node phases")

@@ -21,14 +21,15 @@ from ...apps import BSPApp
 from ...core import Machine, MachineConfig
 from ...ktau import KtauTracer, attribute_intervals, explain_slow_intervals
 from ...noise import InjectionPlan
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, no_points
 
 EXPERIMENT_ID = "E6"
 TITLE = "Observer attribution vs ground truth"
+SEED = 61
+plan = no_points
 
 
-def run(scale: Scale = "small", *, seed: int = 61) -> ExperimentReport:
-    check_scale(scale)
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     iterations = 60 if scale == "small" else 400
     machine = Machine(MachineConfig(
         n_nodes=4, kernel="tuned-linux",

@@ -15,10 +15,12 @@ from __future__ import annotations
 from ...apps import StencilApp
 from ...core import Machine, MachineConfig
 from ...ktau import KtauTracer
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, no_points
 
 EXPERIMENT_ID = "E7"
 TITLE = "Observer overhead by instrumentation level"
+SEED = 71
+plan = no_points
 
 
 def _run(level: str | None, iterations: int, seed: int) -> tuple[int, int]:
@@ -37,8 +39,7 @@ def _run(level: str | None, iterations: int, seed: int) -> tuple[int, int]:
     return app.makespan_ns(), charged
 
 
-def run(scale: Scale = "small", *, seed: int = 71) -> ExperimentReport:
-    check_scale(scale)
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     iterations = 40 if scale == "small" else 200
 
     base, _ = _run(None, iterations, seed)

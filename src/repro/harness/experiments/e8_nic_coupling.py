@@ -17,10 +17,12 @@ from __future__ import annotations
 from ...apps import StencilApp
 from ...core import Machine, MachineConfig
 from ...ktau import KtauTracer
-from ..base import ExperimentReport, Scale, check_scale
+from ..base import ExperimentReport, Scale, no_points
 
 EXPERIMENT_ID = "E8"
 TITLE = "NIC receive processing as observed kernel noise"
+SEED = 83
+plan = no_points
 
 _SIZES = [1_024, 16_384, 131_072]
 
@@ -38,8 +40,7 @@ def _run(kernel: str, halo_bytes: int, iterations: int, seed: int):
     return app.makespan_ns(), rx, machine.env.now
 
 
-def run(scale: Scale = "small", *, seed: int = 83) -> ExperimentReport:
-    check_scale(scale)
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     iterations = 30 if scale == "small" else 150
 
     headers = ["kernel", "halo bytes", "makespan ms", "nic-rx ms",

@@ -14,32 +14,34 @@ experiment behind the era's co-scheduled-daemons folklore.
 from __future__ import annotations
 
 from ...core import ExperimentConfig
-from ..base import ExperimentReport, Scale, check_scale, policy_executor
+from ...parallel import ComparisonPlan, plan_comparisons
+from ..base import ExperimentReport, Scale
 
 EXPERIMENT_ID = "E9"
 TITLE = "Synchronized vs unsynchronized noise across nodes"
+SEED = 97
 
 _ALIGNMENTS = ("synchronized", "random", "staggered")
+_NODES = {"small": 32, "full": 128}
 
 
-def run(scale: Scale = "small", *, seed: int = 97) -> ExperimentReport:
-    check_scale(scale)
-    nodes = 32 if scale == "small" else 128
-    app_params = dict(work_ns=2_000_000, iterations=40,
-                      collective="allreduce")
+def plan(scale: Scale, seed: int) -> ComparisonPlan:
+    return plan_comparisons({
+        alignment: ExperimentConfig(
+            app="bsp", nodes=_NODES[scale], noise_pattern="2.5pct@10Hz",
+            alignment=alignment, seed=seed, kernel="lightweight",
+            app_params=dict(work_ns=2_000_000, iterations=40,
+                            collective="allreduce"))
+        for alignment in _ALIGNMENTS})
 
+
+def reduce(scale: Scale, seed: int, results: dict) -> ExperimentReport:
     headers = ["alignment", "quiet ms", "noisy ms", "slowdown %",
                "amplification"]
     rows = []
     slow: dict[str, float] = {}
-    comparisons = policy_executor().run_comparisons({
-        alignment: ExperimentConfig(
-            app="bsp", nodes=nodes, noise_pattern="2.5pct@10Hz",
-            alignment=alignment, seed=seed, kernel="lightweight",
-            app_params=app_params)
-        for alignment in _ALIGNMENTS})
     for alignment in _ALIGNMENTS:
-        cmp = comparisons[alignment]
+        cmp = results[alignment]
         sd = cmp.slowdown
         slow[alignment] = sd.slowdown_fraction
         rows.append([alignment, round(cmp.quiet.makespan_ns / 1e6, 2),
@@ -61,4 +63,4 @@ def run(scale: Scale = "small", *, seed: int = 97) -> ExperimentReport:
                                  for a, s in slow.items()}}
     return ExperimentReport(EXPERIMENT_ID, TITLE, headers, rows,
                             checks=checks, findings=findings,
-                            notes=f"BSP allreduce, P={nodes}, 2.5pct@10Hz")
+                            notes=f"BSP allreduce, P={_NODES[scale]}, 2.5pct@10Hz")

@@ -8,12 +8,13 @@ observation existed — reimplemented inside the simulation so the paper's
 * :class:`FWQBenchmark` — fixed work quantum (duration-sensitive);
 * :class:`SelfishBenchmark` — per-event detour detection;
 * :class:`PSNAPBenchmark` — machine-wide fixed-work census;
-* :class:`CollectiveBenchmark` — collective latency under noise;
+* :class:`CollectiveBenchmark` — collective latency under noise
+  (:class:`CollectivePoint`: one benchmark as a plan point);
 * :class:`PingPongBenchmark` — point-to-point RTT distributions
   (netgauge-style tail analysis).
 """
 
-from .collective_bench import CollectiveBenchmark, CollectiveBenchResult
+from .collective_bench import CollectiveBenchmark, CollectiveBenchResult, CollectivePoint
 from .ftq import FTQBenchmark, FTQResult
 from .fwq import FWQBenchmark, FWQResult
 from .pingpong import PingPongBenchmark, PingPongResult
@@ -26,5 +27,5 @@ __all__ = [
     "SelfishBenchmark", "SelfishResult", "Detour",
     "PSNAPBenchmark", "PSNAPResult",
     "PingPongBenchmark", "PingPongResult",
-    "CollectiveBenchmark", "CollectiveBenchResult",
+    "CollectiveBenchmark", "CollectiveBenchResult", "CollectivePoint",
 ]

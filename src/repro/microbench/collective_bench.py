@@ -3,12 +3,14 @@
 Times repeated executions of one collective across a machine — the
 standard tool for exposing noise amplification directly: plot the
 completion-time distribution against node count per noise pattern.
+:class:`CollectivePoint` is one such benchmark as a frozen,
+content-keyable plan point, so the executor can pool and cache it.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from ..analysis.stats import SeriesStats, summarize_series
 from ..errors import ConfigError
 from ..mpi import RankComm
 
-__all__ = ["CollectiveBenchResult", "CollectiveBenchmark"]
+__all__ = ["CollectiveBenchResult", "CollectiveBenchmark", "CollectivePoint"]
 
 _OPS = ("allreduce", "barrier", "bcast", "allgather", "alltoall")
 
@@ -31,6 +33,9 @@ class CollectiveBenchResult:
     message_size: int
     #: Completion wall time of each repetition (max over ranks), ns.
     times_ns: np.ndarray
+    #: Run diagnostics (a :class:`CollectivePoint` records the bulk
+    #: engine's ``fixpoint_reps`` and ``tie_breaks`` here).
+    meta: dict[str, _t.Any] = field(default_factory=dict, compare=False)
 
     def stats(self) -> SeriesStats:
         return summarize_series(self.times_ns)
@@ -170,3 +175,26 @@ class CollectiveBenchmark:
             times[rep] = end - start
         return CollectiveBenchResult(self.operation, self.algorithm, P,
                                      self.message_size, times)
+
+
+@dataclass(frozen=True)
+class CollectivePoint:
+    """One collective benchmark on one machine, as a plan point.
+
+    Content-keyable (machine config, benchmark parameters, tie-break),
+    so :class:`~repro.parallel.SweepExecutor` pools and caches it like
+    an application run.  :meth:`run` is
+    :meth:`CollectiveBenchmark.run_auto`; it records the bulk engine's
+    ``fixpoint_reps`` and ``tie_breaks`` in the result's ``meta``, so
+    they survive the pool and the cache.
+    """
+
+    machine: _t.Any
+    bench: CollectiveBenchmark
+    tie_break: str = "strict"
+
+    def run(self) -> CollectiveBenchResult:
+        stats = {"fixpoint_reps": 0, "tie_breaks": 0}
+        result = self.bench.run_auto(self.machine, tie_break=self.tie_break,
+                                     stats_out=stats)
+        return replace(result, meta=stats)

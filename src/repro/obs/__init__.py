@@ -70,7 +70,7 @@ from .runtime import (
     metrics_enabled,
     parse_categories,
     registry,
-    scoped_tracer,
+    scoped_point,
     tracer,
     write_trace,
 )
@@ -94,7 +94,7 @@ __all__ = [
     "match_edge_logs", "propagate_delay",
     "configure", "disable", "metrics_enabled", "critpath_enabled",
     "det_check_enabled",
-    "registry", "tracer", "scoped_tracer", "write_trace",
+    "registry", "tracer", "scoped_point", "write_trace",
     "harvest_machine", "parse_categories",
     "oplog", "prom", "reqtrace",
 ]

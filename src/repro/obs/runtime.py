@@ -1,8 +1,7 @@
 """Process-wide observability state and machine harvesting.
 
-Mirrors :class:`repro.harness.ExecutionPolicy`: experiments and the
-:class:`~repro.core.Machine` stay pure, and the CLI (or a test) flips
-one process-global switch::
+Experiments and the :class:`~repro.core.Machine` stay pure, and the
+CLI (or a test) flips one process-global switch::
 
     from repro import obs
     obs.configure(metrics=True, trace="out.json",
@@ -39,8 +38,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["configure", "disable", "metrics_enabled", "critpath_enabled",
            "det_check_enabled",
-           "registry", "tracer", "scoped_tracer", "write_trace",
-           "harvest_machine", "harvest_points", "harvest_sweep_stats",
+           "registry", "tracer", "scoped_point", "write_trace",
+           "harvest_machine", "harvest_sweep_stats",
            "record_phase_seconds", "parse_categories"]
 
 #: Sweep-point wall-time bounds in seconds.
@@ -171,24 +170,25 @@ def tracer() -> SpanTracer | None:
 
 
 @contextlib.contextmanager
-def scoped_tracer(tr: SpanTracer) -> _t.Iterator[SpanTracer]:
-    """Install ``tr`` as the active tracer for the duration of a block.
+def scoped_point(det_check: bool,
+                 tr: SpanTracer | None = None) -> _t.Iterator[None]:
+    """Run one sweep point under its own telemetry switches.
 
-    Used by sweep workers to trace *one* simulation without flipping
-    process-wide telemetry on: the previous tracer (usually ``None``)
-    and the metrics flag are restored on exit, so pooled worker
-    processes carry no trace state between points.  Machines capture
-    the active tracer at build time, so the machine must be built
-    inside the block.
+    Sweep workers run many points: ``det_check`` and, when given, the
+    point tracer ``tr`` hold for the block only, and the previous
+    tracer, metrics flag and ``det_check`` switch are restored on exit,
+    so a pooled worker carries no state between points.  Machines
+    capture the active tracer at build time, so the machine must be
+    built inside the block.
     """
-    prev_tracer = _STATE.tracer
-    prev_metrics = _STATE.metrics_on
-    _STATE.tracer = tr
+    prev = (_STATE.tracer, _STATE.metrics_on, _STATE.det_check_on)
+    _STATE.det_check_on = bool(det_check)
+    if tr is not None:
+        _STATE.tracer = tr
     try:
-        yield tr
+        yield
     finally:
-        _STATE.tracer = prev_tracer
-        _STATE.metrics_on = prev_metrics
+        _STATE.tracer, _STATE.metrics_on, _STATE.det_check_on = prev
 
 
 def write_trace(path: str | None = None) -> tuple[str, int]:
@@ -256,17 +256,17 @@ def harvest_machine(machine: "Machine") -> None:
         reg.counter("faults.failures_total").inc(stats.failures)
 
 
-def harvest_points(timings: _t.Iterable[_t.Any], n_failures: int) -> None:
-    """Fold one executor fan-out's per-point outcomes into the registry
-    (:class:`~repro.parallel.PointTiming` objects; wall times are
-    host-scoped)."""
+def harvest_sweep_stats(stats: _t.Any, n_failures: int) -> None:
+    """Fold one executor fan-out into the registry: per-point outcomes
+    from a :class:`~repro.parallel.SweepStats`'s timings, ``n_failures``
+    failed points, and sweep-level wall-clock gauges (host-scoped)."""
     if not _STATE.metrics_on:
         return
     reg = _STATE.registry
     hist = reg.histogram("exec.point_wall_s", scope=HOST,
                          bounds=POINT_WALL_BOUNDS)
     hits = misses = 0
-    for timing in timings:
+    for timing in stats.timings:
         if timing.cached:
             hits += 1
         else:
@@ -276,15 +276,6 @@ def harvest_points(timings: _t.Iterable[_t.Any], n_failures: int) -> None:
     reg.counter("exec.cache_hits").inc(hits)
     reg.counter("exec.cache_misses").inc(misses)
     reg.counter("exec.point_failures").inc(n_failures)
-
-
-def harvest_sweep_stats(stats: _t.Any) -> None:
-    """Record sweep-level wall-clock gauges from a
-    :class:`~repro.parallel.SweepStats` (per-point counters were
-    already folded in by :func:`harvest_points`)."""
-    if not _STATE.metrics_on:
-        return
-    reg = _STATE.registry
     reg.gauge("exec.workers", scope=HOST).set(stats.workers)
     reg.gauge("exec.wall_s", scope=HOST).set(round(stats.wall_s, 6))
     if stats.wall_s > 0 and stats.workers:

@@ -1,23 +1,25 @@
-"""Parallel sweep execution and on-disk result caching.
+"""Parallel plan execution and on-disk result caching.
 
-The engine behind fast reproduction runs: every figure in E1–E14 is a
-sweep over independent, deterministic ``(nodes, pattern)`` simulation
-points, so they shard cleanly across processes and cache cleanly on
-disk.
+The engine behind fast reproduction runs: every experiment of the
+harness (E1–E20) declares its simulations as a plan of independent,
+deterministic points, so they shard cleanly across processes and
+cache cleanly on disk.
 
-* :func:`plan_sweep` / :func:`plan_comparisons` — the one pure
-  expansion of noisy-vs-quiet comparisons into points (quiet twins
-  first, deduplicated; twins from
-  :meth:`~repro.core.ExperimentConfig.quiet_twin`) and
+* :func:`plan_sweep` / :func:`plan_comparisons` / :func:`plan_points`
+  — the one pure expansion of noisy-vs-quiet comparisons (and of bare
+  points) into points (quiet twins first, deduplicated; twins from
+  :meth:`~repro.core.ExperimentConfig.quiet_twin`),
+  :func:`plan_union` — many plans as one, keyed by content — and
   :meth:`ComparisonPlan.assemble`, the one way back from finished
   points to results.  The CLI, the harness and the experiment server
   all run these plans.
-* :class:`SweepExecutor` — fans plan points over a process pool
-  (``workers=`` knob, serial fallback at ``workers=1``), collects
-  deterministically by point key, and reports per-point timings plus
-  simulated-vs-cached counts via :class:`SweepStats`.
+* :class:`SweepExecutor` — :meth:`SweepExecutor.run` fans plan points
+  over a process pool (``workers=`` knob, serial fallback at
+  ``workers=1``), collects deterministically by point key, and reports
+  per-point timings plus simulated-vs-cached counts via
+  :class:`SweepStats`.
 * :class:`ResultCache` — content-keyed pickle cache (stable SHA-256 of
-  the config, salted with :data:`repro.__version__`, stored as
+  the point, salted with :data:`repro.__version__`, stored as
   ``<root>/v<version>/<key[:2]>/<key>.pkl``) so quiet baselines are
   computed once ever and shared across sweeps, CLI invocations, the
   experiment harness and the server.
@@ -25,14 +27,15 @@ disk.
 Quick taste::
 
     from repro.core import ExperimentConfig
-    from repro.parallel import SweepExecutor
+    from repro.parallel import SweepExecutor, plan_sweep
 
     ex = SweepExecutor(workers=4, cache="~/.cache/repro-ghost")
-    results = ex.run_sweep(ExperimentConfig(app="pop", seed=1),
-                           nodes=[16, 64], patterns=["2.5pct@10Hz"])
+    results = ex.run(plan_sweep(ExperimentConfig(app="pop", seed=1),
+                                nodes=[16, 64], patterns=["2.5pct@10Hz"]))
     print(ex.last_stats.as_dict())
 
-or simply ``repro.core.sweep(..., workers=4, cache=...)``.
+or, for flat table records, ``repro.core.sweep_records(..., workers=4,
+cache=...)``.
 """
 
 from .cache import CacheStats, ResultCache, config_key, config_token
@@ -42,11 +45,14 @@ from .plan import (
     PointError,
     PointPlan,
     plan_comparisons,
+    plan_points,
     plan_sweep,
+    plan_union,
 )
 
 __all__ = [
     "SweepExecutor", "SweepStats", "PointTiming", "PointError",
     "ComparisonPlan", "PointPlan", "plan_sweep", "plan_comparisons",
+    "plan_points", "plan_union",
     "ResultCache", "CacheStats", "config_key", "config_token",
 ]

@@ -1,12 +1,13 @@
 """On-disk, content-keyed result cache for experiment runs.
 
-Every simulation in this library is a pure function of its
-:class:`~repro.core.ExperimentConfig` (runs are deterministic per
-seed), so a run result can be cached forever under a stable hash of
-the config.  The big win is quiet baselines: a scaling sweep
-recomputes one quiet run per machine size, and those sizes repeat
-across sweeps, CLI invocations, and the E1–E14 harness — with a cache
-they are simulated once ever per library version.
+Every simulation in this library is a pure function of its point —
+an :class:`~repro.core.ExperimentConfig` or a
+:class:`~repro.microbench.CollectivePoint` (runs are deterministic per
+seed) — so a result can be cached forever under a stable hash of the
+point.  The big win is quiet baselines: a scaling sweep recomputes one
+quiet run per machine size, and those sizes repeat across sweeps, CLI
+invocations, and the E1–E20 harness — with a cache they are simulated
+once ever per library version.
 
 Key scheme
 ----------

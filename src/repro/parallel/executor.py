@@ -1,14 +1,15 @@
-"""Process-parallel execution of experiment sweeps.
+"""Process-parallel execution of comparison plans.
 
-Sweep points are embarrassingly parallel: each ``(nodes, pattern)``
-point is one deterministic simulation, fully described by a frozen
-:class:`~repro.core.ExperimentConfig` (pickles cleanly) and producing
-a frozen :class:`~repro.core.RunResult` (ditto).  The
-:class:`SweepExecutor` fans the points of a sweep out over a
+Plan points are embarrassingly parallel: each point is one
+deterministic simulation, fully described by a frozen
+:class:`~repro.core.ExperimentConfig` or
+:class:`~repro.microbench.CollectivePoint` (both pickle cleanly) and
+producing a frozen result (ditto).  :meth:`SweepExecutor.run` fans the
+points of a :class:`~repro.parallel.ComparisonPlan` out over a
 :class:`concurrent.futures.ProcessPoolExecutor`, collects results
-keyed by point — never by completion order — and reassembles exactly
-the mapping the serial runner produces, so parallel and serial sweeps
-are bit-identical for a fixed seed.
+keyed by point — never by completion order — and assembles the plan's
+cells, so parallel and serial runs are bit-identical for a fixed
+seed.
 
 With ``workers=1`` no pool is created at all (graceful serial
 fallback); an optional :class:`~repro.parallel.ResultCache` serves
@@ -25,14 +26,13 @@ import typing as _t
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.experiment import ExperimentConfig, run_experiment
-from ..core.results import ComparisonResult, RunResult
+from ..core.experiment import ExperimentConfig
 from ..errors import ConfigError
 from ..obs import oplog as _oplog
 from ..obs import runtime as _obs
 from ..obs.trace import SpanTracer
 from .cache import MISS, ResultCache
-from .plan import ComparisonPlan, PointError, plan_comparisons, plan_sweep
+from .plan import ComparisonPlan, PointError
 
 __all__ = ["PointTiming", "SweepStats", "SweepExecutor"]
 
@@ -44,20 +44,23 @@ POINT_TRACE_CATEGORIES = ("net", "net.flow", "mpi", "faults")
 POINT_TRACE_CAP = 50_000
 
 
-def _run_point(config: ExperimentConfig, det_check: bool = False,
-               trace: bool = False) -> tuple[RunResult, float, float]:
+def _run_point(config: _t.Any, det_check: bool = False,
+               trace: bool = False) -> tuple[_t.Any, float, float]:
     """Worker entry point: one simulation, with true start/end stamps.
 
+    ``config`` is a plan point; it runs through its ``run()``.
     Top-level so it pickles into pool workers.  ``det_check`` forwards
-    the parent's ``obs.configure(det_check=True)`` switch explicitly:
-    per-process obs state is inherited under fork but not spawn, and
-    the serial/workers checksum comparison needs both paths to agree.
+    the parent's ``obs.configure(det_check=True)`` switch explicitly
+    and holds only for this point: per-process obs state is inherited
+    under fork but not spawn, the serial/workers checksum comparison
+    needs both paths to agree, and a pooled worker must not carry the
+    switch into its next point.
 
     ``trace`` captures this one simulation's sim-time spans with a
-    point-scoped tracer (process-wide telemetry is restored on exit,
-    so pooled workers carry no state between points) and ships them
-    back as ``result.meta["trace"]`` stored tuples plus
-    ``meta["worker_pid"]``; the server stitches them into the
+    point-scoped tracer (:func:`repro.obs.runtime.scoped_point`
+    restores process-wide telemetry on exit, so pooled workers carry
+    no state between points) and ships them back as
+    ``result.meta["trace"]`` stored tuples plus ``meta["worker_pid"]``; the server stitches them into the
     per-request Perfetto document and strips both keys before caching.
 
     Returns ``(result, start, end)`` where the timestamps are absolute
@@ -69,20 +72,17 @@ def _run_point(config: ExperimentConfig, det_check: bool = False,
     spans of pooled futures that finished long before they were
     collected in plan order.
     """
-    if det_check and not _obs.det_check_enabled():
-        _obs.configure(det_check=True)
-    t0 = time.perf_counter()
-    if trace:
-        point_tracer = SpanTracer(POINT_TRACE_CATEGORIES,
-                                  cap=POINT_TRACE_CAP)
-        with _obs.scoped_tracer(point_tracer):
-            result = _t.cast(RunResult, run_experiment(config))
+    point_tracer = (SpanTracer(POINT_TRACE_CATEGORIES, cap=POINT_TRACE_CAP)
+                    if trace else None)
+    with _obs.scoped_point(det_check, point_tracer):
+        t0 = time.perf_counter()
+        result = config.run()
+        t1 = time.perf_counter()
+    if point_tracer is not None:
         result.meta["trace"] = point_tracer.raw_events()
         result.meta["trace_dropped"] = point_tracer.dropped
         result.meta["worker_pid"] = os.getpid()
-    else:
-        result = _t.cast(RunResult, run_experiment(config))
-    return result, t0, time.perf_counter()
+    return result, t0, t1
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class PointTiming:
 
 @dataclass
 class SweepStats:
-    """What one :meth:`SweepExecutor.run_sweep` call actually did."""
+    """What one :meth:`SweepExecutor.run` call actually did."""
 
     workers: int
     wall_s: float = 0.0
@@ -114,7 +114,8 @@ class SweepStats:
         return len(self.timings)
 
     def tally(self, key_kind: str, timing: "PointTiming") -> None:
-        """Record one point under the quiet/noisy x cached/simulated grid."""
+        """Record one point under the quiet/noisy x cached/simulated grid
+        (a bare point counts as quiet)."""
         self.timings.append(timing)
         if timing.cached:
             if key_kind == "quiet":
@@ -153,7 +154,7 @@ class SweepStats:
 
 
 class SweepExecutor:
-    """Runs the independent points of a sweep, serially or in parallel.
+    """Runs the independent points of a plan, serially or in parallel.
 
     Parameters
     ----------
@@ -171,7 +172,8 @@ class SweepExecutor:
         if workers is None or workers == 0:
             workers = os.cpu_count() or 1
         if workers < 0:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+            raise ConfigError(
+                f"workers must be >= 0 (0 = one per CPU), got {workers}")
         self.workers = int(workers)
         self.cache: ResultCache | None
         if cache is None or isinstance(cache, ResultCache):
@@ -186,10 +188,10 @@ class SweepExecutor:
         #: creation, and :meth:`submit_config` becomes available.
         self.persistent = bool(persistent)
         self._pool: ProcessPoolExecutor | None = None
-        #: Stats of the most recent :meth:`run_sweep` call.
+        #: Stats of the most recent :meth:`run` call.
         self.last_stats: SweepStats | None = None
-        #: Per-point errors of the most recent fan-out, keyed like its
-        #: ``configs`` mapping (empty when every point succeeded).
+        #: Per-point errors of the most recent fan-out, keyed by point
+        #: key (empty when every point succeeded).
         self.last_errors: dict[_t.Any, PointError] = {}
 
     # -- persistent pool ---------------------------------------------------
@@ -245,7 +247,7 @@ class SweepExecutor:
         self.close()
 
     def _collect(self, futures: _t.Mapping[_t.Any, _t.Any],
-                 record: _t.Callable[[_t.Any, RunResult, float, float], None],
+                 record: _t.Callable[[_t.Any, _t.Any, float, float], None],
                  failed: dict[_t.Any, BaseException]) -> None:
         """Drain pooled futures into ``record``/``failed``."""
         broken = False
@@ -266,59 +268,57 @@ class SweepExecutor:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    # -- generic fan-out ---------------------------------------------------
-    def run_configs(self, configs: _t.Mapping[_t.Any, ExperimentConfig],
-                    *, labels: _t.Mapping[_t.Any, str] | None = None,
-                    progress: _t.Callable[[str], None] | None = None
-                    ) -> tuple[dict[_t.Any, RunResult],
-                               dict[_t.Any, PointTiming]]:
-        """Execute independent configs; results keyed like ``configs``.
+    # -- fan-out -----------------------------------------------------------
+    def run(self, plan: ComparisonPlan, *,
+            progress: _t.Callable[[str], None] | None = None
+            ) -> dict[_t.Any, _t.Any]:
+        """Run ``plan``'s points and assemble its cells.
 
-        Cache hits never reach the pool.  The returned dicts iterate in
-        ``configs`` order regardless of completion order.
+        The one fan-out: sweeps (:func:`~repro.parallel.plan_sweep`),
+        comparisons (:func:`~repro.parallel.plan_comparisons`), bare
+        points (:func:`~repro.parallel.plan_points`) and the harness's
+        union of experiment plans all come through here.  Cache hits
+        never reach the pool, and the result iterates in cell order
+        regardless of completion order.
 
         Failures are isolated, not fatal: a point that raises (in a
         worker — including a :class:`BrokenExecutor` pool collapse — or
         in-process) is retried once serially; if it fails again it is
-        recorded in :attr:`last_errors` and omitted from the returned
-        mappings, so one crashed simulation never discards its
-        siblings' completed work.
+        recorded in :attr:`last_errors` (keyed by point key) and its
+        cells are omitted, so one crashed simulation never discards its
+        siblings' completed work.  Failed points and comparisons left
+        without a baseline are listed, in plan order, in
+        ``last_stats.errors``.
         """
-        labels = labels or {}
-        served: dict[_t.Any, RunResult] = {}
+        t_start = time.perf_counter()
+        labels = {pt.key: pt.label for pt in plan.points}
+        done: dict[_t.Any, _t.Any] = {}
         timings: dict[_t.Any, PointTiming] = {}
-        pending: dict[_t.Any, ExperimentConfig] = {}
-        for key, cfg in configs.items():
-            cached = (self.cache.get(cfg, MISS)
+        pending: dict[_t.Any, _t.Any] = {}
+        for pt in plan.points:
+            cached = (self.cache.get(pt.config, MISS)
                       if self.cache is not None else MISS)
-            if cached is not MISS:
-                served[key] = cached
-                timings[key] = PointTiming(labels.get(key, str(key)), 0.0,
-                                           cached=True)
-                if progress:
-                    progress(f"{labels.get(key, key)} (cached)")
-            else:
-                pending[key] = cfg
-
-        failed: dict[_t.Any, BaseException] = {}
+            if cached is MISS:
+                pending[pt.key] = pt.config
+                continue
+            done[pt.key] = cached
+            timings[pt.key] = PointTiming(pt.label, 0.0, cached=True)
+            if progress:
+                progress(f"{pt.label} (cached)")
+        _oplog.log("exec.fanout", points=len(labels), cached=len(done),
+                   pending=len(pending), workers=self.workers)
         det_check = _obs.det_check_enabled()
         tracer = _obs.tracer()
         if tracer is not None and not tracer.enabled("sweep"):
             tracer = None
 
-        _oplog.log("exec.fanout", points=len(configs),
-                   cached=len(served), pending=len(pending),
-                   workers=self.workers)
-
-        def record(key: _t.Any, result: RunResult,
+        def record(key: _t.Any, result: _t.Any,
                    start: float, end: float) -> None:
             elapsed = end - start
-            served[key] = result
-            timings[key] = PointTiming(labels.get(key, str(key)),
-                                       elapsed, cached=False)
+            done[key] = result
+            timings[key] = PointTiming(labels[key], elapsed, cached=False)
             meta = getattr(result, "meta", None) or {}
-            _oplog.log("exec.point", level="debug",
-                       point=labels.get(key, str(key)),
+            _oplog.log("exec.point", level="debug", point=labels[key],
                        elapsed_s=round(elapsed, 6),
                        worker_pid=meta.get("worker_pid"))
             if tracer is not None:
@@ -326,11 +326,11 @@ class SweepExecutor:
                 # collected in plan order, so "collection time minus
                 # cost" would shift/overlap spans and misrepresent
                 # worker occupancy.
-                tracer.host_span("sweep", labels.get(key, str(key)),
-                                 start, elapsed)
+                tracer.host_span("sweep", labels[key], start, elapsed)
             if progress:
-                progress(f"{labels.get(key, key)} ({elapsed:.2f}s)")
+                progress(f"{labels[key]} ({elapsed:.2f}s)")
 
+        failed: dict[_t.Any, BaseException] = {}
         if pending and self.workers == 1 and not self.persistent:
             for key, cfg in pending.items():
                 try:
@@ -339,21 +339,20 @@ class SweepExecutor:
                     failed[key] = exc
                     continue
                 record(key, result, t0, t1)
-        elif pending and self.persistent:
-            pool = self.ensure_pool()
-            futures = {key: pool.submit(_run_point, cfg, det_check)
-                       for key, cfg in pending.items()}
-            self._collect(futures, record, failed)
         elif pending:
-            n_workers = min(self.workers, len(pending))
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                futures = {key: pool.submit(_run_point, cfg, det_check)
-                           for key, cfg in pending.items()}
-                self._collect(futures, record, failed)
+            pool = (self.ensure_pool() if self.persistent else
+                    ProcessPoolExecutor(min(self.workers, len(pending))))
+            try:
+                self._collect({key: pool.submit(_run_point, cfg, det_check)
+                               for key, cfg in pending.items()},
+                              record, failed)
+            finally:
+                if not self.persistent:
+                    pool.shutdown()
 
         errors: dict[_t.Any, PointError] = {}
         for key, first_exc in failed.items():
-            label = labels.get(key, str(key))
+            label = labels[key]
             if progress:
                 progress(f"{label} failed "
                          f"({type(first_exc).__name__}); retrying serially")
@@ -373,66 +372,20 @@ class SweepExecutor:
 
         if self.cache is not None:
             for key, cfg in pending.items():
-                if key in served:
-                    self.cache.put(cfg, served[key])
+                if key in done:
+                    self.cache.put(cfg, done[key])
 
-        self.last_errors = {key: errors[key] for key in configs
+        self.last_errors = {key: errors[key] for key in labels
                             if key in errors}
-        _obs.harvest_points(timings.values(), len(self.last_errors))
-        return ({key: served[key] for key in configs if key in served},
-                {key: timings[key] for key in configs if key in timings})
-
-    # -- comparison fan-out ------------------------------------------------
-    def run_comparisons(self, configs: _t.Mapping[_t.Any, ExperimentConfig],
-                        *, progress: _t.Callable[[str], None] | None = None
-                        ) -> dict[_t.Any, ComparisonResult]:
-        """Run noisy configs against their quiet twins, all in one pool.
-
-        The parallel, baseline-deduplicating form of calling
-        :func:`repro.core.run_with_baseline` per config (see
-        :func:`~repro.parallel.plan_comparisons`): physically identical
-        quiet twins are simulated once and shared by every comparison
-        that needs them.
-        """
-        return _t.cast(dict[_t.Any, ComparisonResult],
-                       self._run_plan(plan_comparisons(configs),
-                                      progress=progress))
-
-    def run_sweep(self, base: ExperimentConfig, *,
-                  nodes: _t.Sequence[int], patterns: _t.Sequence[str],
-                  progress: _t.Callable[[str], None] | None = None
-                  ) -> dict[tuple[int, str], ComparisonResult | RunResult]:
-        """Cross ``nodes`` x ``patterns`` with shared quiet baselines.
-
-        Same contract as :func:`repro.core.sweep`: the returned mapping
-        is keyed and ordered ``(n_nodes, pattern)`` nodes-major, quiet
-        points are bare :class:`RunResult` objects, and every
-        :class:`ComparisonResult` at a given machine size shares the
-        *same* quiet baseline object.
-        """
-        return self._run_plan(plan_sweep(base, nodes, patterns),
-                              progress=progress)
-
-    def _run_plan(self, plan: ComparisonPlan, *,
-                  progress: _t.Callable[[str], None] | None = None
-                  ) -> dict[_t.Any, ComparisonResult | RunResult]:
-        """Run ``plan``'s points and assemble its cells.
-
-        Failed points and comparisons left without a baseline are
-        omitted from the result and listed, in plan order, in
-        ``last_stats.errors``.
-        """
-        t0 = time.perf_counter()
-        points, timings = self.run_configs(
-            {pt.key: pt.config for pt in plan.points},
-            labels={pt.key: pt.label for pt in plan.points},
-            progress=progress)
         stats = SweepStats(workers=self.workers)
-        for key, timing in timings.items():
-            stats.tally(key[0], timing)
-        results, missing = plan.assemble(points, self.last_errors)
+        noisy = {pt.key for _q, pt in plan.cells.values() if pt is not None}
+        for key in labels:
+            if key in timings:
+                stats.tally("noisy" if key in noisy else "quiet",
+                            timings[key])
+        results, missing = plan.assemble(done, self.last_errors)
         stats.errors = [*self.last_errors.values(), *missing]
-        stats.wall_s = time.perf_counter() - t0
+        stats.wall_s = time.perf_counter() - t_start
         self.last_stats = stats
-        _obs.harvest_sweep_stats(stats)
+        _obs.harvest_sweep_stats(stats, len(self.last_errors))
         return results

@@ -4,10 +4,17 @@ The paper's core measurement compares a noisy run with a quiet
 baseline.  A :class:`ComparisonPlan` is that comparison as data: the
 independent simulation *points* it needs (quiet twins first, each
 distinct twin once) and the *cells* it reports, each naming its quiet
-and noisy point.  :func:`plan_sweep` builds the plan of a
-``nodes x patterns`` sweep, :func:`plan_comparisons` the plan of a
-mapping of noisy configs, and :meth:`ComparisonPlan.assemble` turns
-finished points back into results.
+and noisy point.  A cell with no noisy half reports its one point
+bare.  :func:`plan_sweep` builds the plan of a ``nodes x patterns``
+sweep, :func:`plan_comparisons` the plan of a mapping of noisy
+configs, :func:`plan_points` the plan of independent bare points,
+:func:`plan_union` the points of many plans keyed by content, and
+:meth:`ComparisonPlan.assemble` turns finished points back into
+results.
+
+A point is an :class:`~repro.core.ExperimentConfig` (one application
+run) or a :class:`~repro.microbench.CollectivePoint` (one collective
+microbenchmark); both are frozen and content-keyable.
 
 Planning and assembly are pure.  :class:`~repro.parallel.SweepExecutor`
 runs plans in-process or over a pool, and the experiment server
@@ -22,13 +29,13 @@ import typing as _t
 from dataclasses import dataclass, replace
 
 from ..core.experiment import ExperimentConfig
-from ..core.results import ComparisonResult, RunResult
+from ..core.results import ComparisonResult
 from ..errors import ConfigError
 from ..noise import is_quiet
 from .cache import config_key
 
 __all__ = ["PointPlan", "PointError", "ComparisonPlan", "plan_sweep",
-           "plan_comparisons"]
+           "plan_comparisons", "plan_points", "plan_union"]
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,8 @@ class PointPlan:
     ``point`` events.
     """
 
-    key: tuple
-    config: ExperimentConfig
+    key: _t.Any
+    config: _t.Any
     label: str
 
 
@@ -76,7 +83,7 @@ class PointError:
 
 #: A cell's points: its quiet twin's key and its noisy point (``None``
 #: for a cell that reports the quiet run itself).
-_Cell = tuple[tuple, "PointPlan | None"]
+_Cell = tuple[_t.Any, "PointPlan | None"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +93,9 @@ class ComparisonPlan:
     points: tuple[PointPlan, ...]
     cells: _t.Mapping[_t.Any, _Cell]
 
-    def assemble(self, done: _t.Mapping[tuple, RunResult],
-                 failed: _t.Mapping[tuple, PointError] | None = None
-                 ) -> tuple[dict[_t.Any, ComparisonResult | RunResult],
-                            list[PointError]]:
+    def assemble(self, done: _t.Mapping[_t.Any, _t.Any],
+                 failed: _t.Mapping[_t.Any, PointError] | None = None
+                 ) -> tuple[dict[_t.Any, _t.Any], list[PointError]]:
         """Finished points -> ``(results by cell, missing baselines)``.
 
         Cells iterate in plan order.  A cell whose noisy point is
@@ -98,7 +104,7 @@ class ComparisonPlan:
         not becomes a ``MissingBaseline`` error, quoting the twin's
         failure from ``failed`` when known.
         """
-        results: dict[_t.Any, ComparisonResult | RunResult] = {}
+        results: dict[_t.Any, _t.Any] = {}
         missing: list[PointError] = []
         for cell, (quiet_key, noisy_point) in self.cells.items():
             quiet = done.get(quiet_key)
@@ -174,3 +180,34 @@ def plan_comparisons(configs: _t.Mapping[_t.Any, ExperimentConfig]
         noisy.append(point)
         cells[key] = (twin_key, point)
     return ComparisonPlan((*twins.values(), *noisy), cells)
+
+
+def plan_points(configs: _t.Mapping[_t.Any, _t.Any],
+                labels: _t.Mapping[_t.Any, str] | None = None
+                ) -> ComparisonPlan:
+    """Independent bare points: each key is one cell reporting its run.
+
+    ``labels`` name points in progress lines and errors (default:
+    ``str(key)``).
+    """
+    labels = labels or {}
+    points = tuple(PointPlan(key, cfg, labels.get(key, str(key)))
+                   for key, cfg in configs.items())
+    return ComparisonPlan(points, {pt.key: (pt.key, None) for pt in points})
+
+
+def plan_union(plans: _t.Mapping[_t.Any, ComparisonPlan]) -> ComparisonPlan:
+    """Every point of the named plans, once, as bare points.
+
+    Points are keyed by :func:`~repro.parallel.config_key` (the cache's
+    key), so a simulation several plans — or several keys of one plan —
+    need runs once; labels are prefixed with the first plan's name.
+    """
+    points: dict[str, PointPlan] = {}
+    for name, plan in plans.items():
+        for pt in plan.points:
+            key = config_key(pt.config)
+            if key not in points:
+                points[key] = PointPlan(key, pt.config, f"{name} {pt.label}")
+    return ComparisonPlan(tuple(points.values()),
+                          {key: (key, None) for key in points})

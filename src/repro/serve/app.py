@@ -62,7 +62,7 @@ import asyncio
 import threading
 import time
 import typing as _t
-from collections import deque
+from collections import Counter, deque
 
 from .. import __version__
 from ..errors import ReproError
@@ -368,7 +368,10 @@ class ExperimentServer:
         _oplog.log("job.start", kind=job.kind, points=len(plans),
                    trace=job.trace)
         completed: dict[tuple, _t.Any] = {}
-        emitted: set[tuple] = set()
+        #: Records emitted per (nodes, pattern).  Quiet aliases of one
+        #: machine size ("quiet", "none") are distinct cells with equal
+        #: records, so the count, not membership, tracks what is out.
+        emitted: Counter[tuple] = Counter()
         outcomes = {"simulated": 0, "cached": 0, "deduped": 0}
         point_errors: list[dict[str, _t.Any]] = []
         trace_dropped = 0
@@ -418,10 +421,12 @@ class ExperimentServer:
                                 "label": plan.label, "outcome": outcome,
                                 "elapsed_s": round(elapsed, 6)})
                     records, _ = job.assemble(completed)
+                    ready: Counter[tuple] = Counter()
                     for record in records:
                         cell = (record["nodes"], record["pattern"])
-                        if cell not in emitted:
-                            emitted.add(cell)
+                        ready[cell] += 1
+                        if ready[cell] > emitted[cell]:
+                            emitted[cell] += 1
                             await emit({"event": "record",
                                         "record": record})
         finally:
@@ -440,7 +445,8 @@ class ExperimentServer:
                         "trace": rt.to_chrome()})
         wall_s = time.perf_counter() - t0
         await emit({"event": "stats", "kind": job.kind,
-                    "points": len(plans), "records": len(emitted),
+                    "points": len(plans),
+                    "records": sum(emitted.values()),
                     "simulated": outcomes["simulated"],
                     "cached": outcomes["cached"],
                     "deduped": outcomes["deduped"],
@@ -450,7 +456,8 @@ class ExperimentServer:
                                 bounds=REQUEST_WALL_BOUNDS,
                                 kind=job.kind).observe(round(wall_s, 6))
         _oplog.log("job.finished", kind=job.kind, points=len(plans),
-                   records=len(emitted), errors=len(point_errors),
+                   records=sum(emitted.values()),
+                   errors=len(point_errors),
                    wall_s=round(wall_s, 6))
         if _obs.metrics_enabled():
             reg = _obs.registry()

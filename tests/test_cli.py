@@ -11,16 +11,6 @@ import pytest
 
 import repro
 from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
-from repro.harness import execution_policy
-
-
-@pytest.fixture(autouse=True)
-def _restore_execution_policy():
-    """CLI commands mutate the process-wide policy; undo after each test."""
-    policy = execution_policy()
-    saved = (policy.workers, policy.cache)
-    yield
-    policy.workers, policy.cache = saved
 
 
 def run_cli(argv):
@@ -139,6 +129,12 @@ def test_unknown_collective_algorithm_is_an_error():
                           "--collectives", "allreduce=zorp"])
     assert code == 2
     assert "error:" in text
+
+
+def test_negative_workers_is_an_error():
+    code, text = run_cli(["sweep", "--nodes", "2", "--workers", "-1"])
+    assert code == 2
+    assert "error: workers must be >= 0 (0 = one per CPU), got -1" in text
 
 
 def test_sweep_with_failed_points_names_them_and_exits_1():

@@ -10,11 +10,11 @@ from repro.core import (
     RunResult,
     run_experiment,
     run_with_baseline,
-    sweep,
     sweep_records,
 )
 from repro.errors import ConfigError
 from repro.net import TorusTopology
+from repro.parallel import SweepExecutor, plan_sweep
 
 BSP_SMALL = {"work_ns": 500_000, "iterations": 10}
 
@@ -132,7 +132,8 @@ def test_run_with_baseline_rejects_quiet():
 
 def test_sweep_shares_baselines_and_shapes():
     base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
-    results = sweep(base, nodes=[2, 4], patterns=["quiet", "2.5pct@100Hz"])
+    results = SweepExecutor().run(
+        plan_sweep(base, [2, 4], ["quiet", "2.5pct@100Hz"]))
     assert set(results) == {(2, "quiet"), (2, "2.5pct@100Hz"),
                             (4, "quiet"), (4, "2.5pct@100Hz")}
     assert isinstance(results[(2, "quiet")], RunResult)
@@ -153,14 +154,14 @@ def test_sweep_records_flat_dicts():
 def test_sweep_validation():
     base = ExperimentConfig(app_params=BSP_SMALL)
     with pytest.raises(ConfigError):
-        sweep(base, nodes=[], patterns=["quiet"])
+        sweep_records(base, nodes=[], patterns=["quiet"])
 
 
 def test_sweep_progress_callback():
     seen = []
     base = ExperimentConfig(app="bsp", app_params=BSP_SMALL)
-    sweep(base, nodes=[2], patterns=["2.5pct@100Hz"],
-          progress=seen.append)
+    sweep_records(base, nodes=[2], patterns=["2.5pct@100Hz"],
+                  progress=seen.append)
     assert any("baseline" in s for s in seen)
     assert any("2.5pct@100Hz" in s for s in seen)
 

@@ -30,7 +30,7 @@ from repro.obs.critpath import (
     format_critical_path,
     format_diff,
 )
-from repro.parallel import SweepExecutor
+from repro.parallel import SweepExecutor, plan_points
 
 
 def _recorded_machine(n_nodes=6, seed=9, *, kernel="lightweight",
@@ -202,8 +202,8 @@ def test_critical_path_identical_serial_vs_workers():
                            app_params={"iterations": 5,
                                        "work_ns": 120_000})
     configs = {"pt": cfg}
-    serial, _ = SweepExecutor(workers=1).run_configs(configs)
-    pooled, _ = SweepExecutor(workers=2).run_configs(configs)
+    serial = SweepExecutor(workers=1).run(plan_points(configs))
+    pooled = SweepExecutor(workers=2).run(plan_points(configs))
     assert serial["pt"].meta["critical_path"] == \
         pooled["pt"].meta["critical_path"]
     assert serial["pt"].meta["critical_path"]["total_ns"] == \

@@ -22,7 +22,7 @@ from repro.core import ExperimentConfig, sweep_records
 from repro.core import run_experiment as core_run_experiment
 from repro.core.results import ComparisonResult
 from repro.harness import run_experiment
-from repro.parallel import SweepExecutor
+from repro.parallel import SweepExecutor, plan_sweep
 
 #: Fast experiments used as report-byte probes (sub-second at small
 #: scale).  E1 drives nodes directly (no machine-level harvest); E15 is
@@ -173,7 +173,8 @@ def test_det_check_serial_equals_workers():
         obs.disable()
         obs.configure(det_check=True)
         try:
-            results = SweepExecutor(workers=workers).run_sweep(base, **kwargs)
+            results = SweepExecutor(workers=workers).run(
+                plan_sweep(base, **kwargs))
             out = {}
             for key, res in results.items():
                 if isinstance(res, ComparisonResult):

@@ -15,8 +15,8 @@ import pathlib
 
 import pytest
 
-from repro.harness import execution_policy, run_experiment, set_execution_policy
-from repro.parallel import ResultCache
+from repro.harness import run_experiment, run_experiments
+from repro.parallel import ResultCache, SweepExecutor
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -64,18 +64,33 @@ def test_e5_golden_from_cold_and_warm_cache(tmp_path):
     """E5 runs its comparisons through the executor: its 20 comparisons
     share 4 quiet baselines, and both a cold and a warm result cache
     reproduce the golden report byte for byte."""
-    policy = execution_policy()
-    saved = (policy.workers, policy.cache)
     cache = ResultCache(tmp_path)
-    set_execution_policy(cache=cache)
-    try:
-        cold = run_experiment("E5", "small").render()
-        stored = cache.stats.stores
-        warm = run_experiment("E5", "small").render()
-    finally:
-        policy.workers, policy.cache = saved
+    executor = SweepExecutor(cache=cache)
+    cold = run_experiment("E5", "small", executor).render()
+    stored = cache.stats.stores
+    warm = run_experiment("E5", "small", executor).render()
     expected = (GOLDEN_DIR / "e5_small.txt").read_text()
     assert cold == expected
     assert warm == expected
     assert stored == 4 + 20
     assert cache.stats.hits == stored and cache.stats.stores == stored
+
+
+def test_goldens_through_one_pooled_union_cold_and_warm(tmp_path):
+    """Every golden experiment in one union of plans on a two-worker
+    executor with a result cache: the cold pass and the warm pass both
+    reproduce each golden byte for byte, and the warm pass simulates
+    no point at all."""
+    ids = sorted({eid for eid, _scale in GOLDENS.values()},
+                 key=lambda e: int(e[1:]))
+    expected = {eid: (GOLDEN_DIR / f"{stem}.txt").read_text()
+                for stem, (eid, _scale) in GOLDENS.items()}
+    cache = ResultCache(tmp_path)
+    executor = SweepExecutor(workers=2, cache=cache)
+    for _pass in ("cold", "warm"):
+        reports = run_experiments(ids, "small", executor)
+        assert {eid: rep.render() for eid, rep in reports.items()} == expected
+    stats = executor.last_stats
+    assert stats.points > 0
+    assert stats.quiet_simulated == stats.noisy_simulated == 0
+    assert cache.stats.stores == stats.points

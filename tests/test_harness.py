@@ -11,14 +11,34 @@ from repro.harness import (
     render_markdown,
     render_summary,
     run_experiment,
+    run_experiments,
 )
 
 
 def test_registry_is_complete():
     assert experiment_ids() == [f"E{i}" for i in range(1, 18)] + ["E20"]
-    for eid, (title, fn) in EXPERIMENTS.items():
-        assert title
-        assert callable(fn)
+    for eid, mod in EXPERIMENTS.items():
+        assert mod.EXPERIMENT_ID == eid and mod.TITLE
+        assert callable(mod.plan) and callable(mod.reduce)
+        assert not hasattr(mod, "run")  # the registry alone runs plans
+
+
+def test_failed_point_fails_only_the_experiments_that_need_it(monkeypatch):
+    import repro.parallel.executor as mod
+
+    real = mod._run_point
+
+    def no_fault_free_baseline(cfg, det_check=False):
+        if getattr(cfg, "faults", "n/a") is None and cfg.app == "bsp":
+            raise RuntimeError("boom")
+        return real(cfg, det_check)
+
+    monkeypatch.setattr(mod, "_run_point", no_fault_free_baseline)
+    reports = run_experiments(["E1", "E13", "E15"], "small")
+    assert reports["E1"].passed and reports["E13"].passed
+    assert not reports["E15"].passed
+    assert reports["E15"].failed_checks() == [
+        "point E15 fault-free baseline failed (RuntimeError): boom"]
 
 
 def test_unknown_experiment_rejected():

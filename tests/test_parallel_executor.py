@@ -13,7 +13,6 @@ from repro.core import (
     ExperimentConfig,
     RunResult,
     run_with_baseline,
-    sweep,
     sweep_records,
 )
 from repro.errors import ConfigError
@@ -21,6 +20,9 @@ from repro.parallel import (
     ResultCache,
     SweepExecutor,
     config_key,
+    plan_comparisons,
+    plan_points,
+    plan_sweep,
 )
 
 BSP_SMALL = {"work_ns": 500_000, "iterations": 10}
@@ -176,9 +178,9 @@ def test_empty_sweep_rejected():
     ex = SweepExecutor()
     base = ExperimentConfig(app="bsp", app_params=BSP_SMALL)
     with pytest.raises(ConfigError):
-        ex.run_sweep(base, nodes=[], patterns=["quiet"])
+        ex.run(plan_sweep(base, [], ["quiet"]))
     with pytest.raises(ConfigError):
-        ex.run_sweep(base, nodes=[2], patterns=[])
+        ex.run(plan_sweep(base, [2], []))
 
 
 # -- determinism: parallel == serial, byte for byte -------------------------
@@ -194,8 +196,8 @@ def test_parallel_and_serial_sweeps_bit_identical(app):
 
 def test_parallel_sweep_structure_matches_serial():
     base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
-    results = sweep(base, nodes=[2, 4], patterns=["quiet", "2.5pct@100Hz"],
-                    workers=2)
+    results = SweepExecutor(workers=2).run(
+        plan_sweep(base, [2, 4], ["quiet", "2.5pct@100Hz"]))
     assert list(results) == [(2, "quiet"), (2, "2.5pct@100Hz"),
                              (4, "quiet"), (4, "2.5pct@100Hz")]
     assert isinstance(results[(2, "quiet")], RunResult)
@@ -217,8 +219,8 @@ def test_sweep_records_sorted_by_nodes_then_pattern():
 def test_parallel_progress_reports_every_point():
     seen = []
     base = ExperimentConfig(app="bsp", app_params=BSP_SMALL)
-    sweep(base, nodes=[2], patterns=["2.5pct@100Hz"], workers=2,
-          progress=seen.append)
+    SweepExecutor(workers=2).run(plan_sweep(base, [2], ["2.5pct@100Hz"]),
+                                 progress=seen.append)
     assert any("baseline" in s for s in seen)
     assert any("2.5pct@100Hz" in s for s in seen)
 
@@ -230,12 +232,12 @@ def test_second_sweep_serves_baselines_from_cache(tmp_path):
     kwargs = dict(nodes=[2, 4], patterns=["quiet", "2.5pct@100Hz"])
 
     first = SweepExecutor(workers=1, cache=tmp_path)
-    first.run_sweep(base, **kwargs)
+    first.run(plan_sweep(base, **kwargs))
     assert first.last_stats.quiet_simulated == 2
     assert first.last_stats.quiet_cached == 0
 
     second = SweepExecutor(workers=1, cache=tmp_path)
-    second.run_sweep(base, **kwargs)
+    second.run(plan_sweep(base, **kwargs))
     assert second.last_stats.quiet_simulated == 0
     assert second.last_stats.quiet_cached == 2
     assert second.last_stats.noisy_simulated == 0
@@ -254,11 +256,11 @@ def test_cached_sweep_output_identical_to_fresh(tmp_path):
 
 def test_baselines_shared_across_different_sweeps(tmp_path):
     base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
-    SweepExecutor(workers=1, cache=tmp_path).run_sweep(
-        base, nodes=[2, 4], patterns=["2.5pct@100Hz"])
+    SweepExecutor(workers=1, cache=tmp_path).run(
+        plan_sweep(base, [2, 4], ["2.5pct@100Hz"]))
     # A different pattern set still reuses the quiet baselines.
     ex = SweepExecutor(workers=1, cache=tmp_path)
-    ex.run_sweep(base, nodes=[2, 4], patterns=["2.5pct@1000Hz"])
+    ex.run(plan_sweep(base, [2, 4], ["2.5pct@1000Hz"]))
     assert ex.last_stats.quiet_simulated == 0
     assert ex.last_stats.quiet_cached == 2
     assert ex.last_stats.noisy_simulated == 2
@@ -266,24 +268,24 @@ def test_baselines_shared_across_different_sweeps(tmp_path):
 
 # -- comparison fan-out ------------------------------------------------------
 
-def test_run_comparisons_matches_run_with_baseline():
+def test_comparison_plan_matches_run_with_baseline():
     cfgs = {a: ExperimentConfig(app="bsp", nodes=4,
                                 noise_pattern="2.5pct@100Hz", alignment=a,
                                 seed=1, app_params=BSP_SMALL)
             for a in ("random", "synchronized")}
-    got = SweepExecutor(workers=1).run_comparisons(cfgs)
+    got = SweepExecutor(workers=1).run(plan_comparisons(cfgs))
     for a, cfg in cfgs.items():
         want = run_with_baseline(cfg)
         assert got[a].as_dict() == want.as_dict()
 
 
-def test_run_comparisons_dedups_quiet_twins():
+def test_comparison_plan_dedups_quiet_twins():
     cfgs = {a: ExperimentConfig(app="bsp", nodes=4,
                                 noise_pattern="2.5pct@100Hz", alignment=a,
                                 seed=1, app_params=BSP_SMALL)
             for a in ("random", "synchronized", "staggered")}
     ex = SweepExecutor(workers=1)
-    got = ex.run_comparisons(cfgs)
+    got = ex.run(plan_comparisons(cfgs))
     # One shared baseline simulation for three comparisons.
     assert ex.last_stats.quiet_simulated == 1
     assert ex.last_stats.noisy_simulated == 3
@@ -291,10 +293,10 @@ def test_run_comparisons_dedups_quiet_twins():
     assert len(quiets) == 1
 
 
-def test_run_comparisons_rejects_quiet_config():
+def test_comparison_plan_rejects_quiet_config():
     with pytest.raises(ConfigError):
-        SweepExecutor().run_comparisons(
-            {"x": ExperimentConfig(noise_pattern="quiet")})
+        SweepExecutor().run(plan_comparisons(
+            {"x": ExperimentConfig(noise_pattern="quiet")}))
 
 
 # -- stats ------------------------------------------------------------------
@@ -302,7 +304,7 @@ def test_run_comparisons_rejects_quiet_config():
 def test_sweep_stats_shape(tmp_path):
     ex = SweepExecutor(workers=1, cache=tmp_path)
     base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
-    ex.run_sweep(base, nodes=[2], patterns=["quiet", "2.5pct@100Hz"])
+    ex.run(plan_sweep(base, [2], ["quiet", "2.5pct@100Hz"]))
     stats = ex.last_stats
     assert stats.points == 2
     assert stats.wall_s > 0
@@ -380,10 +382,10 @@ def test_pooled_span_start_times_are_true_worker_stamps(monkeypatch):
 
     monkeypatch.setattr(mod, "_run_point", stamped)
     ex = SweepExecutor(workers=1)
-    served, timings = ex.run_configs(
-        {"pt": ExperimentConfig(app="bsp", app_params=BSP_SMALL)})
+    served = ex.run(plan_points(
+        {"pt": ExperimentConfig(app="bsp", app_params=BSP_SMALL)}))
     assert served["pt"] is result
-    assert timings["pt"].elapsed_s == pytest.approx(1.5)
+    assert ex.last_stats.timings[0].elapsed_s == pytest.approx(1.5)
     span = next(e for e in tr.events() if e["cat"] == "sweep")
     assert span["ts"] == pytest.approx(10.0 * 1e6)   # us since tracer t0
     assert span["dur"] == pytest.approx(1.5 * 1e6)
@@ -418,9 +420,9 @@ def test_sharded_cache_sweep_identical_to_flat(tmp_path):
     kwargs = dict(nodes=[2, 4], patterns=["quiet", "2.5pct@100Hz"])
     plain = sweep_records(base, **kwargs)
     warm = SweepExecutor(workers=1, cache=tmp_path / "c")
-    warm.run_sweep(base, **kwargs)
+    warm.run(plan_sweep(base, **kwargs))
     served = SweepExecutor(workers=1, cache=tmp_path / "c")
-    results = served.run_sweep(base, **kwargs)
+    results = served.run(plan_sweep(base, **kwargs))
     records = []
     for (p, pattern), res in sorted(results.items()):
         record = res.as_dict()
@@ -437,10 +439,10 @@ def test_sharded_cache_sweep_identical_to_flat(tmp_path):
 def test_persistent_pool_reused_and_closed():
     base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
     with SweepExecutor(workers=2, persistent=True) as ex:
-        ex.run_sweep(base, nodes=[2], patterns=["quiet", "2.5pct@100Hz"])
+        ex.run(plan_sweep(base, [2], ["quiet", "2.5pct@100Hz"]))
         pool = ex._pool
         assert pool is not None
-        ex.run_sweep(base, nodes=[4], patterns=["quiet", "2.5pct@100Hz"])
+        ex.run(plan_sweep(base, [4], ["quiet", "2.5pct@100Hz"]))
         assert ex._pool is pool  # same pool, not a new one per sweep
     assert ex._pool is None
 
@@ -468,7 +470,7 @@ def test_persistent_sweep_identical_to_serial():
     kwargs = dict(nodes=[2, 4], patterns=["quiet", "2.5pct@100Hz"])
     serial = sweep_records(base, workers=1, **kwargs)
     with SweepExecutor(workers=2, persistent=True) as ex:
-        results = ex.run_sweep(base, **kwargs)
+        results = ex.run(plan_sweep(base, **kwargs))
     records = []
     for (p, pattern), res in sorted(results.items()):
         record = res.as_dict()
@@ -476,3 +478,49 @@ def test_persistent_sweep_identical_to_serial():
         record.setdefault("pattern", pattern)
         records.append(record)
     assert records_blob(records) == records_blob(serial)
+
+
+def test_det_check_does_not_leak_across_pooled_points():
+    """The det_check switch holds for one point: a pooled worker that
+    ran a checked point must not checksum the next, unchecked one."""
+    from repro import obs
+
+    cfg = ExperimentConfig(app="bsp", seed=5, app_params=BSP_SMALL)
+    with SweepExecutor(workers=1, persistent=True) as ex:
+        obs.configure(det_check=True)
+        try:
+            checked, _, _ = ex.submit_config(cfg).result()
+        finally:
+            obs.configure(det_check=False)
+        unchecked, _, _ = ex.submit_config(cfg).result()
+    assert "det_check" in checked.meta
+    assert "det_check" not in unchecked.meta
+
+
+# -- collective points ------------------------------------------------------
+
+def test_collective_point_pooled_and_cached_matches_direct(tmp_path):
+    """A collective point runs the same benchmark in a worker and from
+    the cache as in-process, engine counters included."""
+    from repro.core import MachineConfig
+    from repro.microbench import CollectiveBenchmark, CollectivePoint
+    from repro.noise import InjectionPlan
+
+    machine = MachineConfig(n_nodes=16, kernel="lightweight", seed=3,
+                            injection=InjectionPlan("2.5pct@1000Hz", seed=3))
+    bench = CollectiveBenchmark(repetitions=5, gap_ns=500_000)
+    point = CollectivePoint(machine, bench, tie_break="deterministic")
+    stats = {}
+    direct = bench.run_auto(machine, tie_break="deterministic",
+                            stats_out=stats)
+    plan = plan_points({"pt": point})
+    runs = [SweepExecutor(workers=2, cache=tmp_path).run(plan)["pt"]
+            for _ in range(2)]
+    ex = SweepExecutor(workers=1, cache=tmp_path)
+    runs.append(ex.run(plan)["pt"])
+    assert ex.last_stats.quiet_cached == 1
+    for res in runs:
+        assert res.times_ns.tolist() == direct.times_ns.tolist()
+        assert res.meta == {"fixpoint_reps": stats.get("fixpoint_reps", 0),
+                            "tie_breaks": stats.get("tie_breaks", 0)}
+    assert config_key(point) != config_key(CollectivePoint(machine, bench))

@@ -9,7 +9,12 @@ from repro.core import ExperimentConfig
 from repro.faults import FaultPlan
 from repro.kernel import KernelConfig, Node
 from repro.net import LogGPParams, Message, Network
-from repro.parallel import SweepExecutor
+from repro.parallel import (
+    SweepExecutor,
+    plan_comparisons,
+    plan_points,
+    plan_sweep,
+)
 from repro.parallel.cache import MISS, ResultCache, config_key
 from repro.parallel.executor import PointError
 from repro.sim import Environment
@@ -115,13 +120,13 @@ def test_distinct_channels_do_not_serialize_each_other():
 
 def test_failed_point_is_isolated_and_reported():
     ex = SweepExecutor(workers=1)
-    results, timings = ex.run_configs({
+    results = ex.run(plan_points({
         "ok": _cfg(seed=1),
         "doomed": _cfg(seed=2, faults=_CRASH),
         "also-ok": _cfg(seed=3),
-    })
+    }))
     assert set(results) == {"ok", "also-ok"}
-    assert set(timings) == {"ok", "also-ok"}
+    assert {t.label for t in ex.last_stats.timings} == {"ok", "also-ok"}
     assert set(ex.last_errors) == {"doomed"}
     err = ex.last_errors["doomed"]
     assert isinstance(err, PointError)
@@ -131,10 +136,10 @@ def test_failed_point_is_isolated_and_reported():
 
 def test_failed_point_is_isolated_in_pool_mode():
     ex = SweepExecutor(workers=2)
-    results, _ = ex.run_configs({
+    results = ex.run(plan_points({
         "ok": _cfg(seed=1),
         "doomed": _cfg(seed=2, faults=_CRASH),
-    })
+    }))
     assert set(results) == {"ok"}
     assert ex.last_errors["doomed"].kind == "FaultError"
 
@@ -152,7 +157,7 @@ def test_failure_is_retried_once(monkeypatch):
 
     monkeypatch.setattr(mod, "_run_point", flaky)
     ex = SweepExecutor(workers=1)
-    results, _ = ex.run_configs({"flaky": _cfg(seed=99)})
+    results = ex.run(plan_points({"flaky": _cfg(seed=99)}))
     # First attempt failed, the serial retry succeeded: no error.
     assert attempts.count(99) == 2
     assert set(results) == {"flaky"} and not ex.last_errors
@@ -160,11 +165,11 @@ def test_failure_is_retried_once(monkeypatch):
 
 def test_failed_points_are_not_cached(tmp_path):
     ex = SweepExecutor(workers=1, cache=str(tmp_path))
-    ex.run_configs({"doomed": _cfg(faults=_CRASH)})
+    ex.run(plan_points({"doomed": _cfg(faults=_CRASH)}))
     assert ex.last_errors and len(ex.cache) == 0
 
 
-def test_run_sweep_returns_partial_results(monkeypatch):
+def test_sweep_plan_returns_partial_results(monkeypatch):
     import repro.parallel.executor as mod
     real = mod._run_point
 
@@ -175,15 +180,14 @@ def test_run_sweep_returns_partial_results(monkeypatch):
 
     monkeypatch.setattr(mod, "_run_point", failing_noisy_p4)
     ex = SweepExecutor(workers=1)
-    results = ex.run_sweep(_cfg(), nodes=[4, 8],
-                           patterns=["quiet", "2.5pct@10Hz"])
+    results = ex.run(plan_sweep(_cfg(), [4, 8], ["quiet", "2.5pct@10Hz"]))
     assert set(results) == {(4, "quiet"), (8, "quiet"), (8, "2.5pct@10Hz")}
     assert ex.last_stats.failed == 1
     assert ex.last_stats.errors[0].kind == "RuntimeError"
     assert ex.last_stats.as_dict()["failed"] == 1
 
 
-def test_run_sweep_reports_missing_baseline(monkeypatch):
+def test_sweep_plan_reports_missing_baseline(monkeypatch):
     import repro.parallel.executor as mod
     real = mod._run_point
 
@@ -194,8 +198,7 @@ def test_run_sweep_reports_missing_baseline(monkeypatch):
 
     monkeypatch.setattr(mod, "_run_point", failing_quiet_p4)
     ex = SweepExecutor(workers=1)
-    results = ex.run_sweep(_cfg(), nodes=[4, 8],
-                           patterns=["quiet", "2.5pct@10Hz"])
+    results = ex.run(plan_sweep(_cfg(), [4, 8], ["quiet", "2.5pct@10Hz"]))
     # The P=4 noisy run survived but has no baseline: both P=4 keys
     # are absent and the loss is reported, P=8 is intact.
     assert set(results) == {(8, "quiet"), (8, "2.5pct@10Hz")}
@@ -203,7 +206,7 @@ def test_run_sweep_reports_missing_baseline(monkeypatch):
     assert kinds == {"RuntimeError", "MissingBaseline"}
 
 
-def test_run_comparisons_drops_orphaned_comparison(monkeypatch):
+def test_comparison_plan_drops_orphaned_comparison(monkeypatch):
     import repro.parallel.executor as mod
     real = mod._run_point
 
@@ -214,8 +217,8 @@ def test_run_comparisons_drops_orphaned_comparison(monkeypatch):
 
     monkeypatch.setattr(mod, "_run_point", failing_quiet)
     ex = SweepExecutor(workers=1)
-    results = ex.run_comparisons({
-        "a": _cfg(noise_pattern="2.5pct@10Hz")})
+    results = ex.run(plan_comparisons({
+        "a": _cfg(noise_pattern="2.5pct@10Hz")}))
     assert results == {}
     kinds = {e.kind for e in ex.last_stats.errors}
     assert kinds == {"RuntimeError", "MissingBaseline"}
@@ -227,8 +230,8 @@ def test_faulty_sweep_identical_serial_vs_parallel():
     plan = FaultPlan(drop_rate=0.02, duplicate_rate=0.01, seed=5,
                      ack_timeout_ns=200_000)
     configs = {s: _cfg(seed=s, faults=plan) for s in range(3)}
-    serial, _ = SweepExecutor(workers=1).run_configs(configs)
-    parallel, _ = SweepExecutor(workers=3).run_configs(configs)
+    serial = SweepExecutor(workers=1).run(plan_points(configs))
+    parallel = SweepExecutor(workers=3).run(plan_points(configs))
     for s in configs:
         assert serial[s].makespan_ns == parallel[s].makespan_ns
         assert serial[s].meta == parallel[s].meta

@@ -272,13 +272,13 @@ def test_identical_concurrent_jobs_simulate_once(server):
 def test_cache_shared_between_cli_and_server(server, tmp_path):
     """A sweep the CLI ran into the shared directory is served without
     simulating; and vice versa the server's points warm the CLI."""
-    from repro.parallel import SweepExecutor
+    from repro.parallel import SweepExecutor, plan_sweep
 
     # The server's cache dir, already warmed by earlier tests:
     cache = server.server.executor.cache
     base = ExperimentConfig(app="bsp", seed=24, app_params=_PARAMS)
     ex = SweepExecutor(workers=1, cache=cache)
-    ex.run_sweep(base, nodes=[2, 4], patterns=["quiet", "2.5pct@100Hz"])
+    ex.run(plan_sweep(base, [2, 4], ["quiet", "2.5pct@100Hz"]))
     stats = ex.last_stats
     assert stats.quiet_simulated == 0 and stats.noisy_simulated == 0
 

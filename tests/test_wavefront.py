@@ -15,10 +15,10 @@ from repro.core import ExperimentConfig, run_experiment
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, parse_faults
 from repro.harness import run_experiment as run_harness_experiment
-from repro.harness.base import set_execution_policy
 from repro.noise import OneOffNoise
 from repro.obs import extract_wavefront, match_edge_logs, propagate_delay
-from repro.obs.wavefront import WavefrontResult, format_wavefront
+from repro.obs.wavefront import format_wavefront
+from repro.parallel import SweepExecutor
 
 
 # -- synthetic edge logs (analytic ground truth) -----------------------------------
@@ -274,10 +274,7 @@ def test_e20_report_serial_equals_workers():
     execution and --workers process fan-out (edge logs ride RunResult
     meta across pickling)."""
     serial = run_harness_experiment("E20", "small").render()
-    set_execution_policy(workers=2)
-    try:
-        fanned = run_harness_experiment("E20", "small").render()
-    finally:
-        set_execution_policy(workers=1)
+    fanned = run_harness_experiment("E20", "small",
+                                    SweepExecutor(workers=2)).render()
     assert serial == fanned
     assert "[PASS]" in serial and "[FAIL]" not in serial
