@@ -541,12 +541,10 @@ def _cmd_serve(args: argparse.Namespace, out: _t.TextIO) -> int:
     import json
     import signal
 
-    from .obs import runtime as _obs
     from .serve import ExperimentServer
 
     server = ExperimentServer(workers=args.workers, cache=args.cache)
     server.warm()  # fork workers before the event loop starts
-    _obs.configure(metrics=True)
     if args.log_json:
         from .obs import oplog as _oplog
 

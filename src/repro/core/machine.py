@@ -94,9 +94,7 @@ class MachineConfig:
         steals, retransmissions, rank start/finish) so
         :meth:`Machine.critical_path` can reconstruct and attribute
         the makespan's critical path.  Off by default; recording is
-        passive and never changes simulation results.  The process-
-        wide ``obs.configure(critical_path=True)`` switch enables it
-        for every machine regardless of this field.
+        passive and never changes simulation results.
     """
 
     n_nodes: int = 4
@@ -232,10 +230,10 @@ class Machine:
                                             or tracer.enabled("net.flow"))
                                        else None))
         #: Cross-node dependency recorder for critical-path
-        #: attribution; built only when asked for (config field or the
-        #: process-wide obs switch) so the default machine stays free.
+        #: attribution; built only when the config asks for it, so the
+        #: default machine stays free.
         self.critpath = None
-        if config.critical_path or _obs.critpath_enabled():
+        if config.critical_path:
             from ..obs.critpath import DependencyRecorder
             self.critpath = DependencyRecorder(self.env, self.nodes)
         self.mpi = MPIWorld(self.env, self.network,
@@ -301,14 +299,13 @@ class Machine:
         """Reconstruct the completed run's critical path.
 
         Returns a :class:`repro.obs.CriticalPathResult`; requires the
-        machine to have been built with ``critical_path=True`` (or the
-        process-wide obs switch) and run to completion.
+        machine to have been built with ``critical_path=True`` and run
+        to completion.
         """
         if self.critpath is None:
             raise ConfigError(
                 "critical-path recording is off; build the machine with "
-                "MachineConfig(critical_path=True) or call "
-                "obs.configure(critical_path=True) first")
+                "MachineConfig(critical_path=True)")
         from ..obs.critpath import compute_critical_path
         return compute_critical_path(self.critpath)
 

@@ -305,7 +305,7 @@ def unsupported_reason(config: "MachineConfig",
         return "heterogeneous node speeds are not vectorized"
     if config.isolate_noise:
         return "core specialization changes the noise path"
-    if config.critical_path or _obs.critpath_enabled():
+    if config.critical_path:
         return "critical-path recording needs per-rank events"
     if _obs.metrics_enabled() or _obs.tracer() is not None \
             or _obs.det_check_enabled():

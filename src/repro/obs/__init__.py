@@ -63,7 +63,6 @@ from .metrics import (
 from . import oplog, prom, reqtrace
 from .runtime import (
     configure,
-    critpath_enabled,
     det_check_enabled,
     disable,
     harvest_machine,
@@ -92,8 +91,7 @@ __all__ = [
     "format_critical_path", "format_diff",
     "WavefrontResult", "extract_wavefront", "format_wavefront",
     "match_edge_logs", "propagate_delay",
-    "configure", "disable", "metrics_enabled", "critpath_enabled",
-    "det_check_enabled",
+    "configure", "disable", "metrics_enabled", "det_check_enabled",
     "registry", "tracer", "scoped_point", "write_trace",
     "harvest_machine", "parse_categories",
     "oplog", "prom", "reqtrace",

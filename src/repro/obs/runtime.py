@@ -36,8 +36,7 @@ from .trace import TRACE_CATEGORIES, SpanTracer
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.machine import Machine
 
-__all__ = ["configure", "disable", "metrics_enabled", "critpath_enabled",
-           "det_check_enabled",
+__all__ = ["configure", "disable", "metrics_enabled", "det_check_enabled",
            "registry", "tracer", "scoped_point", "write_trace",
            "harvest_machine", "harvest_sweep_stats",
            "record_phase_seconds", "parse_categories"]
@@ -54,11 +53,6 @@ class _ObsState:
         self.registry = MetricsRegistry()
         self.tracer: SpanTracer | None = None
         self.trace_path: str | None = None
-        #: Cross-node dependency recording for critical-path
-        #: attribution (see :mod:`repro.obs.critpath`).  Machines also
-        #: honour a per-config switch; this is the process-wide one the
-        #: CLI's ``--critical-path`` flips.
-        self.critpath_on = False
         #: Determinism spot-check: every machine folds its scheduled
         #: ``(time, priority, seq)`` tuples into an order-sensitive
         #: checksum attached to ``RunResult.meta["det_check"]``
@@ -87,7 +81,6 @@ def configure(*, metrics: bool | None = None,
               trace: str | bool | None = None,
               trace_categories: _t.Iterable[str] | str | None = None,
               trace_cap: int = 200_000,
-              critical_path: bool | None = None,
               det_check: bool | None = None) -> None:
     """Turn telemetry on for this process.
 
@@ -103,10 +96,6 @@ def configure(*, metrics: bool | None = None,
         Categories to record (list or comma-string; ``None`` = all).
     trace_cap:
         Tracer ring-buffer capacity.
-    critical_path:
-        Record cross-node dependency edges on every machine built in
-        this process and attach the critical-path attribution to run
-        results (``RunResult.meta["critical_path"]``).
     det_check:
         Seed an order-sensitive checksum of every scheduled
         ``(time, priority, seq)`` tuple into
@@ -117,8 +106,6 @@ def configure(*, metrics: bool | None = None,
     """
     if metrics is not None:
         _STATE.metrics_on = bool(metrics)
-    if critical_path is not None:
-        _STATE.critpath_on = bool(critical_path)
     if det_check is not None:
         _STATE.det_check_on = bool(det_check)
     if trace:
@@ -139,18 +126,12 @@ def disable() -> None:
     _STATE.registry = MetricsRegistry()
     _STATE.tracer = None
     _STATE.trace_path = None
-    _STATE.critpath_on = False
     _STATE.det_check_on = False
     _oplog.reset()
 
 
 def metrics_enabled() -> bool:
     return _STATE.metrics_on
-
-
-def critpath_enabled() -> bool:
-    """True when cross-node dependency recording is on process-wide."""
-    return _STATE.critpath_on
 
 
 def det_check_enabled() -> bool:

@@ -13,11 +13,12 @@ cache cleanly on disk.
   :meth:`ComparisonPlan.assemble`, the one way back from finished
   points to results.  The CLI, the harness and the experiment server
   all run these plans.
-* :class:`SweepExecutor` — :meth:`SweepExecutor.run` fans plan points
-  over a process pool (``workers=`` knob, serial fallback at
-  ``workers=1``), collects deterministically by point key, and reports
-  per-point timings plus simulated-vs-cached counts via
-  :class:`SweepStats`.
+* :class:`SweepExecutor` — :meth:`SweepExecutor.submit` is the one
+  point path (cache lookup, in-process or pooled run, one retry on a
+  live pool, cache store) and :meth:`SweepExecutor.run` submits a
+  plan's points, collects them in plan order (``workers=`` knob,
+  serial fallback at ``workers=1``), and reports per-point timings
+  plus simulated-vs-cached counts via :class:`SweepStats`.
 * :class:`ResultCache` — content-keyed pickle cache (stable SHA-256 of
   the point, salted with :data:`repro.__version__`, stored as
   ``<root>/v<version>/<key[:2]>/<key>.pkl``) so quiet baselines are
@@ -39,7 +40,7 @@ cache=...)``.
 """
 
 from .cache import CacheStats, ResultCache, config_key, config_token
-from .executor import PointTiming, SweepExecutor, SweepStats
+from .executor import PointRun, PointTiming, SweepExecutor, SweepStats
 from .plan import (
     ComparisonPlan,
     PointError,
@@ -51,7 +52,7 @@ from .plan import (
 )
 
 __all__ = [
-    "SweepExecutor", "SweepStats", "PointTiming", "PointError",
+    "SweepExecutor", "SweepStats", "PointRun", "PointTiming", "PointError",
     "ComparisonPlan", "PointPlan", "plan_sweep", "plan_comparisons",
     "plan_points", "plan_union",
     "ResultCache", "CacheStats", "config_key", "config_token",

@@ -200,8 +200,8 @@ class ResultCache:
         """The cached result for ``config``, or ``default`` on a miss.
 
         Pass :data:`MISS` as the default to distinguish a miss from a
-        cached ``None``/falsy value (the pattern :meth:`get_or_run`
-        uses internally).
+        cached ``None``/falsy value (as
+        :meth:`~repro.parallel.SweepExecutor.submit` does).
         """
         path = self._path(config)
         try:
@@ -235,19 +235,6 @@ class ResultCache:
                 pass
             raise
         self.stats.stores += 1
-
-    def get_or_run(self, config: _t.Any,
-                   fn: _t.Callable[[], _t.Any]) -> _t.Any:
-        """Cached value for ``config``, computing and storing on miss.
-
-        A cached ``None`` (or any falsy value) is served, not
-        recomputed — only a genuine miss runs ``fn``.
-        """
-        value = self.get(config, MISS)
-        if value is MISS:
-            value = fn()
-            self.put(config, value)
-        return value
 
     def __len__(self) -> int:
         if not self._dir.is_dir():

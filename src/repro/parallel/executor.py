@@ -1,40 +1,45 @@
-"""Process-parallel execution of comparison plans.
+"""Process-parallel execution of plan points.
 
 Plan points are embarrassingly parallel: each point is one
 deterministic simulation, fully described by a frozen
 :class:`~repro.core.ExperimentConfig` or
 :class:`~repro.microbench.CollectivePoint` (both pickle cleanly) and
-producing a frozen result (ditto).  :meth:`SweepExecutor.run` fans the
-points of a :class:`~repro.parallel.ComparisonPlan` out over a
-:class:`concurrent.futures.ProcessPoolExecutor`, collects results
-keyed by point — never by completion order — and assembles the plan's
-cells, so parallel and serial runs are bit-identical for a fixed
-seed.
+producing a frozen result (ditto).
 
-With ``workers=1`` no pool is created at all (graceful serial
-fallback); an optional :class:`~repro.parallel.ResultCache` serves
-previously-simulated points — quiet baselines above all — from disk.
-Per-point wall-clock timings and simulated-vs-cached counts land in
-:attr:`SweepExecutor.last_stats`.
+:meth:`SweepExecutor.submit` is the one way a point runs: it looks the
+point up in the optional :class:`~repro.parallel.ResultCache`, runs it
+on a miss (in-process for a serial executor, on a process pool
+otherwise), replaces a broken pool and retries a failed point once,
+and stores the result.  It returns a :class:`concurrent.futures.Future`
+resolving to a :class:`PointRun`.  :meth:`SweepExecutor.run` submits
+every point of a :class:`~repro.parallel.ComparisonPlan`, collects them
+in plan order — never by completion order — and assembles the plan's
+cells, so parallel and serial runs are bit-identical for a fixed seed;
+the experiment server awaits the same futures point by point.
+
+Per-point wall-clock timings and simulated-vs-cached counts of a
+:meth:`~SweepExecutor.run` land in :attr:`SweepExecutor.last_stats`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 import typing as _t
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ..core.experiment import ExperimentConfig
+from .. import __version__
 from ..errors import ConfigError
 from ..obs import oplog as _oplog
 from ..obs import runtime as _obs
 from ..obs.trace import SpanTracer
-from .cache import MISS, ResultCache
+from .cache import MISS, ResultCache, config_key
 from .plan import ComparisonPlan, PointError
 
-__all__ = ["PointTiming", "SweepStats", "SweepExecutor"]
+__all__ = ["PointRun", "PointTiming", "SweepStats", "SweepExecutor"]
 
 #: Categories captured for a traced point (sim-time only — the
 #: per-event ``sim`` firehose and host spans stay out) and the per-point
@@ -42,6 +47,10 @@ __all__ = ["PointTiming", "SweepStats", "SweepExecutor"]
 #: request stitcher surfaces ``dropped`` if a simulation outgrows it.
 POINT_TRACE_CATEGORIES = ("net", "net.flow", "mpi", "faults")
 POINT_TRACE_CAP = 50_000
+
+#: ``result.meta`` keys a traced point ships back from its worker; they
+#: move to :attr:`PointRun.shipped` before the result is cached.
+SHIPPED_META = ("trace", "trace_dropped", "worker_pid")
 
 
 def _run_point(config: _t.Any, det_check: bool = False,
@@ -60,8 +69,10 @@ def _run_point(config: _t.Any, det_check: bool = False,
     point-scoped tracer (:func:`repro.obs.runtime.scoped_point`
     restores process-wide telemetry on exit, so pooled workers carry
     no state between points) and ships them back as
-    ``result.meta["trace"]`` stored tuples plus ``meta["worker_pid"]``; the server stitches them into the
-    per-request Perfetto document and strips both keys before caching.
+    ``result.meta["trace"]`` stored tuples plus ``meta["worker_pid"]``;
+    :meth:`SweepExecutor.submit` moves them to :attr:`PointRun.shipped`
+    before caching, and the server stitches them into the per-request
+    Perfetto document.
 
     Returns ``(result, start, end)`` where the timestamps are absolute
     ``time.perf_counter()`` readings.  ``perf_counter`` is
@@ -83,6 +94,25 @@ def _run_point(config: _t.Any, det_check: bool = False,
         result.meta["trace_dropped"] = point_tracer.dropped
         result.meta["worker_pid"] = os.getpid()
     return result, t0, t1
+
+
+@dataclass(frozen=True)
+class PointRun:
+    """What a :meth:`SweepExecutor.submit` future resolves to."""
+
+    result: _t.Any
+    #: Absolute ``time.perf_counter()`` stamps of the run (0.0 when
+    #: the result came from the cache).
+    start: float
+    end: float
+    cached: bool
+    #: A traced point's :data:`SHIPPED_META` entries, taken out of
+    #: ``result.meta`` (empty otherwise).
+    shipped: dict[str, _t.Any] = field(default_factory=dict)
+
+    @property
+    def elapsed_s(self) -> float:
+        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -164,6 +194,11 @@ class SweepExecutor:
     cache:
         ``None`` (no caching), a :class:`ResultCache`, or a directory
         path to root one at.
+    persistent:
+        Keep the process pool alive across :meth:`run` calls (the
+        experiment server's mode; a one-worker persistent executor
+        still runs its points on a pool).  Otherwise :meth:`run` shuts
+        the pool down when it returns.
     """
 
     def __init__(self, workers: int | None = 1,
@@ -183,62 +218,55 @@ class SweepExecutor:
             self.cache = None
         else:
             self.cache = ResultCache(cache)
-        #: Keep one process pool alive across fan-outs (the experiment
-        #: server's mode): repeated small jobs stop paying pool
-        #: creation, and :meth:`submit_config` becomes available.
         self.persistent = bool(persistent)
+        self._in_process = self.workers == 1 and not self.persistent
+        #: The one pool slot, created on first use.  Pool callback
+        #: threads retire a broken pool while callers submit, so every
+        #: write holds ``_pool_lock``.
         self._pool: ProcessPoolExecutor | None = None
+        self._pool_size = self.workers
+        self._pool_lock = threading.Lock()
         #: Stats of the most recent :meth:`run` call.
         self.last_stats: SweepStats | None = None
-        #: Per-point errors of the most recent fan-out, keyed by point
-        #: key (empty when every point succeeded).
+        #: Per-point errors of the most recent :meth:`run`, keyed by
+        #: point key (empty when every point succeeded).
         self.last_errors: dict[_t.Any, PointError] = {}
 
-    # -- persistent pool ---------------------------------------------------
+    # -- the pool slot -----------------------------------------------------
     @property
     def pool_ready(self) -> bool:
-        """True once the persistent pool exists (the server's readiness
-        signal: liveness holds from bind time, readiness from
-        :meth:`warm`)."""
+        """True once the pool exists (the server's readiness signal:
+        liveness holds from bind time, readiness from :meth:`warm`)."""
         return self._pool is not None
 
-    def ensure_pool(self) -> ProcessPoolExecutor:
-        """The long-lived pool (created on first use; ``persistent``
-        executors only)."""
-        if not self.persistent:
-            raise ConfigError(
-                "ensure_pool()/submit_config() need SweepExecutor("
-                "persistent=True)")
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
+    def _live_pool(self) -> ProcessPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
+            return self._pool
+
+    def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Retire ``pool`` if it still fills the slot: a pool that lost
+        a worker never recovers, and the next attempt builds a fresh
+        one."""
+        with self._pool_lock:
+            if self._pool is not pool:
+                return
+            self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def warm(self) -> None:
-        """Spawn the persistent pool's workers now (and verify they
-        answer).  Servers call this before going async so worker
-        processes are forked from a quiet main thread."""
-        fut = self.ensure_pool().submit(int, 0)
-        fut.result()
-
-    def submit_config(self, config: ExperimentConfig, *,
-                      trace: bool = False) -> "_t.Any":
-        """Submit one simulation to the persistent pool.
-
-        Returns the :class:`concurrent.futures.Future` resolving to
-        ``(RunResult, start, end)`` — the async seam the experiment
-        server bridges with :func:`asyncio.wrap_future`.  No cache
-        interaction happens here; callers own lookup and store.
-        ``trace=True`` captures the point's sim-time spans in the
-        worker (see :func:`_run_point`).
-        """
-        return self.ensure_pool().submit(_run_point, config,
-                                         _obs.det_check_enabled(), trace)
+        """Spawn the pool's workers now (and verify they answer).
+        Servers call this before going async so worker processes are
+        forked from a quiet main thread."""
+        self._live_pool().submit(int, 0).result()
 
     def close(self) -> None:
-        """Shut the persistent pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        """Shut the pool down (idempotent)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -246,27 +274,89 @@ class SweepExecutor:
     def __exit__(self, *exc: _t.Any) -> None:
         self.close()
 
-    def _collect(self, futures: _t.Mapping[_t.Any, _t.Any],
-                 record: _t.Callable[[_t.Any, _t.Any, float, float], None],
-                 failed: dict[_t.Any, BaseException]) -> None:
-        """Drain pooled futures into ``record``/``failed``."""
-        broken = False
-        for key, fut in futures.items():
+    # -- one point ---------------------------------------------------------
+    def point_key(self, config: _t.Any) -> str:
+        """Content key of a point: the cache's key, so in-flight dedup
+        and disk reuse agree on point identity."""
+        if self.cache is not None:
+            return self.cache.key(config)
+        return config_key(config, salt=__version__)
+
+    def submit(self, config: _t.Any, *, trace: bool = False
+               ) -> "Future[PointRun]":
+        """Run one point; the future resolves to a :class:`PointRun`.
+
+        A cache hit resolves before this returns, without running
+        anything (the lookup blocks on disk: async callers submit from
+        a worker thread).  A miss runs the point — in this thread for
+        a serial executor, on the pool otherwise.  A failed attempt
+        gets one more; a pooled retry runs on a live pool, replacing
+        it first if a worker died, never in this process.  The second
+        failure's exception is the future's.  A success is stored in
+        the cache.  ``trace=True`` captures the point's sim-time spans
+        (see :func:`_run_point`) into :attr:`PointRun.shipped`.
+        """
+        out: Future[PointRun] = Future()
+        # Running from the start: a consumer's cancel (asyncio.wrap_future
+        # on a cancelled task) is a no-op, never a half-settled point.
+        out.set_running_or_notify_cancel()
+        cached = (self.cache.get(config, MISS)
+                  if self.cache is not None else MISS)
+        if cached is not MISS:
+            out.set_result(PointRun(cached, 0.0, 0.0, cached=True))
+            return out
+        det_check = _obs.det_check_enabled()
+        args = (config, det_check, True) if trace else (config, det_check)
+        self._attempt(args, out, retried=False)
+        return out
+
+    def _attempt(self, args: tuple, out: "Future[PointRun]", *,
+                 retried: bool) -> None:
+        """Start one run of ``args``; :meth:`_settle` resolves ``out``."""
+        pool = None
+        if self._in_process:
+            fut: Future = Future()
             try:
-                result, t0, t1 = fut.result()
-            except (Exception, BrokenExecutor) as exc:
-                # BrokenExecutor: the worker process died (OOM,
-                # segfault); every sibling future fails too and
-                # each gets its serial retry in the caller.
-                broken = broken or isinstance(exc, BrokenExecutor)
-                failed[key] = exc
-                continue
-            record(key, result, t0, t1)
-        if broken and self._pool is not None:
-            # A broken persistent pool never recovers; drop it so the
-            # next fan-out (or submit_config) builds a fresh one.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+                fut.set_result(_run_point(*args))
+            except Exception as exc:
+                fut.set_exception(exc)
+        else:
+            pool = self._live_pool()
+            try:
+                fut = pool.submit(_run_point, *args)
+            except Exception as exc:  # broken (a worker died idle) or shut
+                fut = Future()
+                fut.set_exception(exc)
+        fut.add_done_callback(
+            lambda done: self._settle(args, out, pool, retried, done))
+
+    def _settle(self, args: tuple, out: "Future[PointRun]",
+                pool: ProcessPoolExecutor | None, retried: bool,
+                fut: Future) -> None:
+        """Done-callback of one attempt (on a pool thread, or inline for
+        a serial executor): retry, store, or fail ``out``."""
+        try:
+            exc = fut.exception()  # CancelledError: close() cancelled it
+            if exc is None:
+                result, start, end = fut.result()
+                meta = getattr(result, "meta", None) or {}
+                shipped = {k: meta.pop(k) for k in SHIPPED_META if k in meta}
+                if self.cache is not None:
+                    self.cache.put(args[0], result)
+                out.set_result(PointRun(result, start, end, cached=False,
+                                        shipped=shipped))
+                return
+            if isinstance(exc, BrokenExecutor) and pool is not None:
+                self._drop_pool(pool)
+            if retried:
+                out.set_exception(exc)
+                return
+            _oplog.log("exec.point_retry", level="warning",
+                       point_key=self.point_key(args[0]),
+                       error=type(exc).__name__)
+            self._attempt(args, out, retried=True)
+        except Exception as exc:
+            out.set_exception(exc)
 
     # -- fan-out -----------------------------------------------------------
     def run(self, plan: ComparisonPlan, *,
@@ -277,115 +367,83 @@ class SweepExecutor:
         The one fan-out: sweeps (:func:`~repro.parallel.plan_sweep`),
         comparisons (:func:`~repro.parallel.plan_comparisons`), bare
         points (:func:`~repro.parallel.plan_points`) and the harness's
-        union of experiment plans all come through here.  Cache hits
-        never reach the pool, and the result iterates in cell order
-        regardless of completion order.
+        union of experiment plans all come through here.  Every point
+        goes through :meth:`submit`; results are collected in plan
+        order, so the result iterates in cell order regardless of
+        completion order.
 
-        Failures are isolated, not fatal: a point that raises (in a
-        worker — including a :class:`BrokenExecutor` pool collapse — or
-        in-process) is retried once serially; if it fails again it is
-        recorded in :attr:`last_errors` (keyed by point key) and its
-        cells are omitted, so one crashed simulation never discards its
-        siblings' completed work.  Failed points and comparisons left
-        without a baseline are listed, in plan order, in
-        ``last_stats.errors``.
+        Failures are isolated, not fatal: a point that still fails
+        after :meth:`submit`'s retry is recorded in :attr:`last_errors`
+        (keyed by point key) and its cells are omitted, so one crashed
+        simulation never discards its siblings' completed work.
+        Failed points and comparisons left without a baseline are
+        listed, in plan order, in ``last_stats.errors``.
         """
         t_start = time.perf_counter()
-        labels = {pt.key: pt.label for pt in plan.points}
-        done: dict[_t.Any, _t.Any] = {}
-        timings: dict[_t.Any, PointTiming] = {}
-        pending: dict[_t.Any, _t.Any] = {}
-        for pt in plan.points:
-            cached = (self.cache.get(pt.config, MISS)
-                      if self.cache is not None else MISS)
-            if cached is MISS:
-                pending[pt.key] = pt.config
-                continue
-            done[pt.key] = cached
-            timings[pt.key] = PointTiming(pt.label, 0.0, cached=True)
-            if progress:
-                progress(f"{pt.label} (cached)")
-        _oplog.log("exec.fanout", points=len(labels), cached=len(done),
-                   pending=len(pending), workers=self.workers)
-        det_check = _obs.det_check_enabled()
         tracer = _obs.tracer()
         if tracer is not None and not tracer.enabled("sweep"):
             tracer = None
+        done: dict[_t.Any, _t.Any] = {}
+        timings: dict[_t.Any, PointTiming] = {}
+        errors: dict[_t.Any, PointError] = {}
 
-        def record(key: _t.Any, result: _t.Any,
-                   start: float, end: float) -> None:
-            elapsed = end - start
-            done[key] = result
-            timings[key] = PointTiming(labels[key], elapsed, cached=False)
-            meta = getattr(result, "meta", None) or {}
-            _oplog.log("exec.point", level="debug", point=labels[key],
-                       elapsed_s=round(elapsed, 6),
-                       worker_pid=meta.get("worker_pid"))
+        def collect(pt: _t.Any, fut: "Future[PointRun]") -> None:
+            try:
+                run = fut.result()
+            except Exception as exc:
+                errors[pt.key] = PointError(pt.label, type(exc).__name__,
+                                            str(exc), retried=True)
+                _oplog.log("exec.point_error", level="error",
+                           point=pt.label, error=type(exc).__name__,
+                           message=str(exc))
+                if progress:
+                    progress(f"{pt.label} failed permanently: {exc}")
+                return
+            done[pt.key] = run.result
+            timings[pt.key] = PointTiming(pt.label, run.elapsed_s,
+                                          cached=run.cached)
+            if run.cached:
+                if progress:
+                    progress(f"{pt.label} (cached)")
+                return
+            _oplog.log("exec.point", level="debug", point=pt.label,
+                       elapsed_s=round(run.elapsed_s, 6))
             if tracer is not None:
                 # True worker-side start/end stamps: pooled futures are
                 # collected in plan order, so "collection time minus
                 # cost" would shift/overlap spans and misrepresent
                 # worker occupancy.
-                tracer.host_span("sweep", labels[key], start, elapsed)
+                tracer.host_span("sweep", pt.label, run.start, run.elapsed_s)
             if progress:
-                progress(f"{labels[key]} ({elapsed:.2f}s)")
+                progress(f"{pt.label} ({run.elapsed_s:.2f}s)")
 
-        failed: dict[_t.Any, BaseException] = {}
-        if pending and self.workers == 1 and not self.persistent:
-            for key, cfg in pending.items():
-                try:
-                    result, t0, t1 = _run_point(cfg, det_check)
-                except Exception as exc:
-                    failed[key] = exc
-                    continue
-                record(key, result, t0, t1)
-        elif pending:
-            pool = (self.ensure_pool() if self.persistent else
-                    ProcessPoolExecutor(min(self.workers, len(pending))))
-            try:
-                self._collect({key: pool.submit(_run_point, cfg, det_check)
-                               for key, cfg in pending.items()},
-                              record, failed)
-            finally:
-                if not self.persistent:
-                    pool.shutdown()
+        if not self.persistent:
+            self._pool_size = max(1, min(self.workers, len(plan.points)))
+        # Collect the finished head of the queue while submitting, so a
+        # serial run reports each point as it finishes.
+        queue: deque[tuple[_t.Any, Future[PointRun]]] = deque()
+        try:
+            for pt in plan.points:
+                queue.append((pt, self.submit(pt.config)))
+                while queue and queue[0][1].done():
+                    collect(*queue.popleft())
+            while queue:
+                collect(*queue.popleft())
+        finally:
+            if not self.persistent:
+                self.close()
 
-        errors: dict[_t.Any, PointError] = {}
-        for key, first_exc in failed.items():
-            label = labels[key]
-            if progress:
-                progress(f"{label} failed "
-                         f"({type(first_exc).__name__}); retrying serially")
-            _oplog.log("exec.point_retry", level="warning", point=label,
-                       error=type(first_exc).__name__)
-            try:
-                result, t0, t1 = _run_point(pending[key], det_check)
-            except Exception as exc:
-                errors[key] = PointError(label, type(exc).__name__,
-                                         str(exc), retried=True)
-                _oplog.log("exec.point_error", level="error", point=label,
-                           error=type(exc).__name__, message=str(exc))
-                if progress:
-                    progress(f"{label} failed permanently: {exc}")
-                continue
-            record(key, result, t0, t1)
-
-        if self.cache is not None:
-            for key, cfg in pending.items():
-                if key in done:
-                    self.cache.put(cfg, done[key])
-
-        self.last_errors = {key: errors[key] for key in labels
-                            if key in errors}
+        n_cached = sum(t.cached for t in timings.values())
+        _oplog.log("exec.fanout", points=len(plan.points), cached=n_cached,
+                   pending=len(plan.points) - n_cached, workers=self.workers)
+        self.last_errors = errors
         stats = SweepStats(workers=self.workers)
         noisy = {pt.key for _q, pt in plan.cells.values() if pt is not None}
-        for key in labels:
-            if key in timings:
-                stats.tally("noisy" if key in noisy else "quiet",
-                            timings[key])
-        results, missing = plan.assemble(done, self.last_errors)
-        stats.errors = [*self.last_errors.values(), *missing]
+        for key, timing in timings.items():
+            stats.tally("noisy" if key in noisy else "quiet", timing)
+        results, missing = plan.assemble(done, errors)
+        stats.errors = [*errors.values(), *missing]
         stats.wall_s = time.perf_counter() - t_start
         self.last_stats = stats
-        _obs.harvest_sweep_stats(stats, len(self.last_errors))
+        _obs.harvest_sweep_stats(stats, len(errors))
         return results

@@ -67,7 +67,7 @@ class PointError:
     message:
         Stringified exception.
     retried:
-        True if the point was re-run (serially) before being declared
+        True if the point was re-run before being declared
         failed.
     """
 

@@ -2,11 +2,13 @@
 
 Turns the deterministic simulation engine into a shared service:
 compare/sweep jobs arrive as JSON over HTTP, expand into independent
-points, fan out over a persistent process pool, and stream results
-back as they finish.  Identical in-flight points across concurrent
-requests are simulated exactly once (content-keyed dedup), and
-completed points are served from the sharded on-disk result cache the
-CLI shares.
+points, and stream results back as they finish.  Each point runs
+through :meth:`repro.parallel.SweepExecutor.submit` on a persistent
+executor — the CLI's own cache → pool → retry → store path, so
+completed points come from the on-disk result cache the CLI shares
+and a dead pool worker costs a retry, not an error.  Identical
+in-flight points across concurrent requests are simulated exactly
+once (content-keyed dedup).
 
 * :class:`ExperimentServer` — the service itself (asyncio, stdlib
   HTTP/1.1, chunked NDJSON streaming).

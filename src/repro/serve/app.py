@@ -4,14 +4,13 @@
 points into a shared service: it accepts compare/sweep jobs as JSON
 (``POST /v1/jobs``), expands them through the executor's own sweep
 plan (:func:`~repro.parallel.plan_sweep`, via
-:mod:`~repro.serve.planner`), fans points out over a persistent
-process-pool worker tier (the async seam around
-:class:`~repro.parallel.SweepExecutor`), and streams results back as
-chunked NDJSON while points finish.  Identical in-flight points across
-concurrent requests collapse onto one simulation
-(:class:`~repro.serve.inflight.InflightRegistry`); completed points
-are served from the sharded on-disk
-:class:`~repro.parallel.ResultCache`, which the CLI can share.
+:mod:`~repro.serve.planner`), runs each point through the point path
+every runner shares — :meth:`~repro.parallel.SweepExecutor.submit` on
+a persistent executor (cache lookup, pool, one retry on a live pool,
+cache store) — and streams results back as chunked NDJSON while points
+finish.  Identical in-flight points across concurrent requests
+collapse onto one simulation
+(:class:`~repro.serve.inflight.InflightRegistry`).
 
 Endpoints
 ---------
@@ -48,8 +47,8 @@ The server always owns a host-scope :class:`MetricsRegistry` — its
 :mod:`repro.obs` switchboard (which the CLI may leave off).
 
 Determinism: every point runs through the exact
-:func:`~repro.parallel.executor._run_point` worker entry the CLI
-uses, so served records are byte-identical (as sorted JSON) to
+:meth:`~repro.parallel.SweepExecutor.submit` path the CLI uses, so
+served records are byte-identical (as sorted JSON) to
 ``repro sweep`` output for the same job — the property
 ``tests/test_serve.py`` pins down.  The stitched request trace is
 likewise deterministic: byte-identical between ``workers=1`` and
@@ -71,8 +70,8 @@ from ..obs import runtime as _obs
 from ..obs.metrics import HOST, MetricsRegistry
 from ..obs.prom import render as _prom_render
 from ..obs.reqtrace import RequestTrace
-from ..parallel import SweepExecutor
-from ..parallel.cache import MISS, ResultCache, config_key
+from ..parallel import PointRun, SweepExecutor
+from ..parallel.cache import ResultCache
 from .inflight import InflightRegistry
 from .planner import Job, PointPlan, parse_job
 from .protocol import (
@@ -220,16 +219,6 @@ class ExperimentServer:
         self._sampler_task: asyncio.Task | None = None
         self._req_seq = 0
 
-    # -- keys --------------------------------------------------------------
-    def point_key(self, plan_or_cfg: _t.Any) -> str:
-        """Content key for a point: identical to the cache's key, so
-        in-flight dedup and disk reuse agree on point identity."""
-        cfg = getattr(plan_or_cfg, "config", plan_or_cfg)
-        cache = self.executor.cache
-        if cache is not None:
-            return cache.key(cfg)
-        return config_key(cfg, salt=__version__)
-
     # -- lifecycle ---------------------------------------------------------
     @property
     def ready(self) -> bool:
@@ -268,84 +257,62 @@ class ExperimentServer:
 
     # -- point execution ---------------------------------------------------
     async def _simulate(self, cfg: _t.Any, *, trace: bool = False
-                        ) -> tuple[_t.Any, str, float, dict[str, _t.Any]]:
-        """Cache-or-pool execution of one point (the in-flight task body).
+                        ) -> PointRun:
+        """One point through the executor (the in-flight task body).
 
-        Returns ``(result, outcome, elapsed_s, info)`` with outcome
-        ``"cached"`` or ``"simulated"``; ``info`` carries the traced
-        point's shipped spans (``trace`` / ``trace_dropped`` /
-        ``worker_pid``), stripped from ``result.meta`` so cached blobs
-        and downstream records stay clean.
+        :meth:`SweepExecutor.submit` looks the cache up on disk, so it
+        runs off the event loop.  A hit comes back resolved and is read
+        at once (wrapping a done future would still cost a loop wake-up);
+        a miss is counted in the queue depth until its pool future
+        resolves.
         """
-        cache = self.executor.cache
-        if cache is not None:
-            cached = await asyncio.to_thread(cache.get, cfg, MISS)
-            if cached is not MISS:
-                return cached, "cached", 0.0, {}
-        self.queue_depth += 1
-        self.queue_depth_peak = max(self.queue_depth_peak, self.queue_depth)
-        try:
-            fut = self.executor.submit_config(cfg, trace=trace)
-            result, t0, t1 = await asyncio.wrap_future(fut)
-        finally:
-            self.queue_depth -= 1
-        info: dict[str, _t.Any] = {}
-        raw = result.meta.pop("trace", None)
-        if raw is not None:
-            info = {"trace": raw,
-                    "trace_dropped": result.meta.pop("trace_dropped", 0),
-                    "worker_pid": result.meta.pop("worker_pid", None)}
+        fut = await asyncio.to_thread(self.executor.submit, cfg, trace=trace)
+        if fut.done():
+            run = fut.result()
         else:
-            result.meta.pop("worker_pid", None)
-        if cache is not None:
-            await asyncio.to_thread(cache.put, cfg, result)
-        self.registry.histogram(
-            "serve.point_simulate_seconds", scope=HOST,
-            bounds=_obs.POINT_WALL_BOUNDS).observe(round(t1 - t0, 6))
-        return result, "simulated", t1 - t0, info
+            self.queue_depth += 1
+            self.queue_depth_peak = max(self.queue_depth_peak,
+                                        self.queue_depth)
+            try:
+                run = await asyncio.wrap_future(fut)
+            finally:
+                self.queue_depth -= 1
+        if not run.cached:
+            self.registry.histogram(
+                "serve.point_simulate_seconds", scope=HOST,
+                bounds=_obs.POINT_WALL_BOUNDS).observe(
+                    round(run.elapsed_s, 6))
+        return run
 
     async def run_point(self, plan: PointPlan, *, trace: bool = False
-                        ) -> tuple[_t.Any, str, float, dict[str, _t.Any]]:
+                        ) -> tuple[PointRun, str]:
         """One point with in-flight dedup: join or register, then await.
 
-        The underlying task is registry-owned and shielded, so this
-        request being cancelled never cancels a computation other
-        subscribers are waiting on.
+        Returns the run and its outcome (``"simulated"``, ``"cached"``
+        or ``"deduped"``).  The underlying task is registry-owned and
+        shielded, so this request being cancelled never cancels a
+        computation other subscribers are waiting on.
         """
-        key = self.point_key(plan)
+        key = self.executor.point_key(plan.config)
         with _oplog.context(point_key=key):
             task = self.inflight.join(key)
-            if task is not None:
-                result, _outcome, elapsed, info = await asyncio.shield(task)
-                self.stats["points_deduped"] += 1
-                self._count_point("deduped")
-                _oplog.log("point.done", level="debug", outcome="deduped",
-                           label=plan.label)
-                return result, "deduped", elapsed, info
-            task = self.inflight.register(
-                key, lambda: self._simulate(plan.config, trace=trace))
-            result, outcome, elapsed, info = await asyncio.shield(task)
+            joined = task is not None
+            if task is None:
+                task = self.inflight.register(
+                    key, lambda: self._simulate(plan.config, trace=trace))
+            run = await asyncio.shield(task)
+            outcome = ("deduped" if joined else
+                       "cached" if run.cached else "simulated")
             self.stats[f"points_{outcome}"] += 1
-            self._count_point(outcome)
+            self.stats["points_total"] += 1
+            self.registry.counter("serve.points_total", scope=HOST,
+                                  outcome=outcome).inc()
+            self.registry.gauge("serve.queue_depth_peak", scope=HOST
+                                ).track_max(self.queue_depth_peak)
             _oplog.log("point.done", level="debug", outcome=outcome,
-                       label=plan.label, elapsed_s=round(elapsed, 6),
-                       worker_pid=info.get("worker_pid"))
-            return result, outcome, elapsed, info
-
-    def _count_point(self, outcome: str) -> None:
-        self.stats["points_total"] += 1
-        self.registry.counter("serve.points_total", scope=HOST,
-                              outcome=outcome).inc()
-        self.registry.gauge("serve.queue_depth_peak",
-                            scope=HOST).track_max(self.queue_depth_peak)
-        if _obs.metrics_enabled():
-            # Back-compat: mirror into the process-wide registry the
-            # PR 7 CLI flags expose.
-            reg = _obs.registry()
-            reg.counter("serve.points_total", scope="host",
-                        outcome=outcome).inc()
-            reg.gauge("serve.queue_depth_peak",
-                      scope="host").track_max(self.queue_depth_peak)
+                       label=plan.label, elapsed_s=round(run.elapsed_s, 6),
+                       worker_pid=run.shipped.get("worker_pid"))
+            return run, outcome
 
     # -- job execution -----------------------------------------------------
     async def run_job(self, job: Job,
@@ -378,13 +345,8 @@ class ExperimentServer:
         if rt is not None:
             rt.phase("simulate")
 
-        async def one(plan: PointPlan) -> tuple[PointPlan, _t.Any,
-                                                str, float, dict]:
-            result, outcome, elapsed, info = await self.run_point(
-                plan, trace=job.trace)
-            return plan, result, outcome, elapsed, info
-
-        tasks = [asyncio.ensure_future(one(plan)) for plan in plans]
+        tasks = [asyncio.ensure_future(self.run_point(plan, trace=job.trace))
+                 for plan in plans]
         by_task = dict(zip(tasks, plans))
         pending = set(tasks)
         try:
@@ -394,7 +356,7 @@ class ExperimentServer:
                 for task in done:
                     plan = by_task[task]
                     try:
-                        plan, result, outcome, elapsed, info = task.result()
+                        run, outcome = task.result()
                     except (Exception, asyncio.CancelledError) as exc:
                         err = {"label": plan.label,
                                "kind": type(exc).__name__,
@@ -408,18 +370,19 @@ class ExperimentServer:
                         await emit({"event": "error",
                                     "request_id": request_id, **err})
                         continue
-                    completed[plan.key] = result
+                    completed[plan.key] = run.result
                     outcomes[outcome] += 1
                     if rt is not None:
                         if outcome == "deduped" \
                                 and not rt.has_phase("dedup_wait"):
                             rt.phase("dedup_wait")
-                        if info.get("trace") is not None:
-                            rt.add_point(plan.label, info["trace"])
-                            trace_dropped += info.get("trace_dropped", 0)
+                        if run.shipped.get("trace") is not None:
+                            rt.add_point(plan.label, run.shipped["trace"])
+                            trace_dropped += run.shipped.get(
+                                "trace_dropped", 0)
                     await emit({"event": "point", "key": list(plan.key),
                                 "label": plan.label, "outcome": outcome,
-                                "elapsed_s": round(elapsed, 6)})
+                                "elapsed_s": round(run.elapsed_s, 6)})
                     records, _ = job.assemble(completed)
                     ready: Counter[tuple] = Counter()
                     for record in records:
@@ -459,11 +422,6 @@ class ExperimentServer:
                    records=sum(emitted.values()),
                    errors=len(point_errors),
                    wall_s=round(wall_s, 6))
-        if _obs.metrics_enabled():
-            reg = _obs.registry()
-            reg.histogram("serve.request_wall_s", scope="host",
-                          bounds=REQUEST_WALL_BOUNDS).observe(
-                              round(wall_s, 6))
 
     # -- metrics / logs documents ------------------------------------------
     def metrics_doc(self, *, window: float | None = None
@@ -471,9 +429,8 @@ class ExperimentServer:
         """The JSON ``/metrics`` document.
 
         Always carries the ``serve`` counters and the server-owned
-        ``registry`` snapshot (merged over the process-wide registry
-        when that one is enabled); ``window`` adds rolling rates from
-        the snapshot ring.
+        ``registry`` snapshot; ``window`` adds rolling rates from the
+        snapshot ring.
         """
         doc: dict[str, _t.Any] = {
             "serve": {**self.stats,
@@ -489,10 +446,7 @@ class ExperimentServer:
         if cache is not None:
             doc["cache"] = {**cache.stats.as_dict(),
                             "entries": len(cache)}
-        snap = self.registry.snapshot()
-        if _obs.metrics_enabled():
-            snap = {**_obs.registry().snapshot(), **snap}
-        doc["registry"] = snap
+        doc["registry"] = self.registry.snapshot()
         if window is not None:
             doc["window"] = self._snapshots.rates(window, self)
         return doc
@@ -642,10 +596,6 @@ class ExperimentServer:
                         return True
                     self.stats[f"jobs_{job.kind}"] += 1
                     job_id = (f"j-{self.stats['jobs_compare'] + self.stats['jobs_sweep']:06d}")
-                    if _obs.metrics_enabled():
-                        _obs.registry().counter("serve.requests_total",
-                                                scope="host",
-                                                kind=job.kind).inc()
                     stream = ChunkedWriter(writer)
                     with _oplog.context(job_id=job_id):
                         await self.run_job(job, stream.send)

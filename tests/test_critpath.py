@@ -57,14 +57,6 @@ def test_recorder_off_by_default():
         machine.critical_path()
 
 
-def test_recorder_via_process_wide_switch():
-    obs.configure(critical_path=True)
-    machine = Machine(MachineConfig(n_nodes=2))
-    assert machine.critpath is not None
-    obs.disable()
-    assert Machine(MachineConfig(n_nodes=2)).critpath is None
-
-
 def test_recording_is_passive():
     """Makespan, iteration timings, and event counts are identical
     with the recorder on and off."""

@@ -11,6 +11,7 @@ c. tracing on vs tracing off.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,9 +110,9 @@ def test_generated_telemetry_changes_no_timing(cfg):
     recording all on simulate the same schedule."""
     obs.disable()
     dark = core_run_experiment(cfg)
-    obs.configure(metrics=True, det_check=True, critical_path=True)
+    obs.configure(metrics=True, det_check=True)
     try:
-        lit = core_run_experiment(cfg)
+        lit = core_run_experiment(replace(cfg, critical_path=True))
     finally:
         obs.disable()
     assert lit.makespan_ns == dark.makespan_ns

@@ -259,7 +259,7 @@ def test_harvest_populates_sim_metrics():
 
 def test_configure_toggles_on_off_on_across_runs():
     """The switchboard must be re-entrant within one process: each
-    flag (metrics, trace, det_check, critical_path) flips on, off, and
+    flag (metrics, trace, det_check) flips on, off, and
     on again across real runs without stale state leaking through."""
     from repro.core import ExperimentConfig, run_experiment
 
@@ -286,15 +286,6 @@ def test_configure_toggles_on_off_on_across_runs():
     assert "det_check" not in run_experiment(cfg).meta
     obs.configure(det_check=True)
     assert "det_check" in run_experiment(cfg).meta
-    obs.disable()
-
-    # critical_path: the process-wide switch arms edge recording on
-    # every machine built while it is on (machines capture it at
-    # build time, like the tracer).
-    for expected in (True, False, True):
-        obs.configure(critical_path=expected)
-        machine = Machine(MachineConfig(n_nodes=2, seed=0))
-        assert (machine.critpath is not None) is expected
     obs.disable()
 
     # trace: machines capture the tracer at build time, so toggling

@@ -3,6 +3,9 @@
 import json
 import os
 import pickle
+import signal
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -133,13 +136,9 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     assert not path.exists()  # corrupt entry dropped
 
 
-def test_cache_get_or_run_and_clear(tmp_path):
+def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path)
-    cfg = ExperimentConfig(app="bsp")
-    calls = []
-    assert cache.get_or_run(cfg, lambda: calls.append(1) or "v") == "v"
-    assert cache.get_or_run(cfg, lambda: calls.append(1) or "v") == "v"
-    assert len(calls) == 1
+    cache.put(ExperimentConfig(app="bsp"), "v")
     assert cache.clear() == 1
     assert len(cache) == 0
 
@@ -447,18 +446,52 @@ def test_persistent_pool_reused_and_closed():
     assert ex._pool is None
 
 
-def test_submit_config_requires_persistent():
-    ex = SweepExecutor(workers=2)
-    with pytest.raises(ConfigError):
-        ex.submit_config(ExperimentConfig(app="bsp", app_params=BSP_SMALL))
+def test_run_survives_a_killed_pool_worker(kill_pool_worker):
+    """A pool that lost its worker is replaced, and the next run
+    returns every point with no error."""
+    base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
+    with SweepExecutor(workers=1, persistent=True) as ex:
+        kill_pool_worker(ex)
+        dead = ex._pool
+        configs = {seed: replace(base, seed=seed) for seed in (3, 4, 5)}
+        results = ex.run(plan_points(configs))
+        assert ex._pool is not None and ex._pool is not dead
+    assert set(results) == set(configs)
+    assert not ex.last_errors and not ex.last_stats.errors
 
 
-def test_submit_config_matches_serial():
+def test_points_in_flight_on_a_dying_pool_are_retried():
+    """Stress: more workers than cores, a short switch interval, and a
+    worker SIGKILLed while points are queued and running.  Pool
+    callback threads replace the pool while this thread submits; every
+    point still resolves to its serial result."""
+    from repro.core import run_experiment
+
+    base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
+    configs = [replace(base, seed=seed) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with SweepExecutor(workers=3, persistent=True) as ex:
+            ex.warm()
+            pid = ex._pool.submit(os.getpid).result(timeout=30)
+            futures = [ex.submit(cfg) for cfg in configs[:4]]
+            os.kill(pid, signal.SIGKILL)
+            futures += [ex.submit(cfg) for cfg in configs[4:]]
+            runs = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert records_blob([run.result.as_dict() for run in runs]) == \
+        records_blob([run_experiment(cfg).as_dict() for cfg in configs])
+
+
+def test_submit_matches_serial():
     cfg = ExperimentConfig(app="bsp", seed=5, app_params=BSP_SMALL)
     from repro.core import run_experiment
 
     with SweepExecutor(workers=1, persistent=True) as ex:
-        result, t0, t1 = ex.submit_config(cfg).result()
+        run = ex.submit(cfg).result()
+    result, t0, t1 = run.result, run.start, run.end
     assert t1 >= t0
     serial = run_experiment(cfg)
     assert records_blob([result.as_dict()]) == records_blob(
@@ -489,10 +522,10 @@ def test_det_check_does_not_leak_across_pooled_points():
     with SweepExecutor(workers=1, persistent=True) as ex:
         obs.configure(det_check=True)
         try:
-            checked, _, _ = ex.submit_config(cfg).result()
+            checked = ex.submit(cfg).result().result
         finally:
             obs.configure(det_check=False)
-        unchecked, _, _ = ex.submit_config(cfg).result()
+        unchecked = ex.submit(cfg).result().result
     assert "det_check" in checked.meta
     assert "det_check" not in unchecked.meta
 

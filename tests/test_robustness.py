@@ -57,17 +57,11 @@ def test_cache_stores_none_and_falsy_values(tmp_path):
     assert cache.get({"point": "absent"}) is None  # default default
 
 
-def test_get_or_run_serves_cached_none_without_recompute(tmp_path):
+def test_cached_none_is_a_hit(tmp_path):
     cache = ResultCache(tmp_path)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return None
-
-    assert cache.get_or_run({"k": 1}, compute) is None
-    assert cache.get_or_run({"k": 1}, compute) is None
-    assert len(calls) == 1  # a cached None is a hit, not a miss
+    cache.put({"k": 1}, None)
+    assert cache.get({"k": 1}, MISS) is None  # a cached None, not a miss
+    assert (cache.stats.hits, cache.stats.misses) == (1, 0)
 
 
 # -- per-channel FIFO ----------------------------------------------------------

@@ -467,6 +467,18 @@ def test_readiness_distinct_from_liveness(tmp_path):
         assert client.health(ready=True)["ready"] is True
 
 
+def test_server_survives_a_killed_pool_worker(tmp_path, kill_pool_worker):
+    """A server whose only pool worker died replaces the pool: the next
+    compare job streams its record with no error."""
+    with BackgroundServer(workers=1, cache=str(tmp_path / "c")) as bg:
+        kill_pool_worker(bg.server.executor)
+        job = {"kind": "compare", "app": "bsp", "nodes": 2,
+               "pattern": "2.5pct@100Hz", "seed": 31,
+               "app_params": _PARAMS}
+        records, stats = ServeClient(*bg.address).records(job)
+    assert stats["errors"] == 0 and len(records) == 1
+
+
 def test_traced_job_streams_one_trace_event(server):
     client = ServeClient(*server.address)
     events = list(client.submit(_sweep_job(seed=32, trace=True)))
