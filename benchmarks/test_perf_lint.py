@@ -1,11 +1,10 @@
-"""Perf floor for the detlint two-pass engine.
+"""Perf floor for the detlint engine.
 
 The lint gate runs on every CI push, so the whole-tree analysis —
-index pass, taint fixpoint, and all 19 rules over every file in
-``src/repro`` — must stay interactive.  The floor is loose (a healthy
-run is ~2s); the gate exists to catch an accidentally quadratic rule
-or a taint fixpoint that stops converging, not to measure the
-micro-cost of one rule.  Run with ``--benchmark-only -s`` to see the
+every rule over every file in ``src/repro`` — must stay interactive.
+The floor is loose (a healthy run takes 1-2 s); the gate exists to
+catch an accidentally quadratic rule, not to measure the micro-cost
+of one rule.  Run with ``--benchmark-only -s`` to see the
 per-rule cost table.
 """
 
@@ -17,8 +16,7 @@ from repro.lint.engine import lint_paths
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 
-#: Wall-clock floor for one full-tree analysis (ISSUE acceptance: the
-#: taint pass included, under 5 seconds).
+#: Wall-clock floor for one full-tree analysis.
 FULL_TREE_FLOOR_S = 5.0
 
 

@@ -21,7 +21,7 @@ Commands
     Scaling sweep with shared quiet baselines; prints the slowdown
     table (optionally ``--csv out.csv``).
 ``lint [PATHS] [--json] [--output FILE] [--profile host]``
-    Run detlint, the project's AST-based determinism / sim-protocol
+    Run detlint, the project's AST-based determinism / concurrency
     static analyzer, over a source tree (defaults to ``src/repro``).
     Same engine as ``python -m repro.lint``; see
     docs/STATIC_ANALYSIS.md for the rule catalog.
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chr.add_argument("--seed", type=int, default=0)
 
     p_lnt = sub.add_parser(
-        "lint", help="run detlint, the determinism/sim-protocol "
+        "lint", help="run detlint, the determinism/concurrency "
                      "static analyzer, over a source tree")
     from .lint.cli import add_lint_arguments
 

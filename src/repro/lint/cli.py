@@ -50,8 +50,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="detlint: AST-based determinism, concurrency & "
-                    "sim-correctness analyzer for the repro codebase")
+        description="detlint: AST-based determinism & concurrency "
+                    "analyzer for the repro codebase")
     add_lint_arguments(parser)
     return parser
 

@@ -4,8 +4,8 @@ One :class:`ModuleUnderLint` is built per analyzed file (source text,
 parsed AST, parent links, scope classification); every registered rule
 (:mod:`repro.lint.rules`) gets a chance to emit :class:`Finding`
 objects against it.  The engine then applies inline suppressions
-(``# detlint: disable=DET003`` on the offending line, or
-``# detlint: disable-next=DET003`` on the line above); every finding
+(``# detlint: disable=DET001`` on the offending line, or
+``# detlint: disable-next=DET001`` on the line above); every finding
 that survives fails the run.
 
 Scope map
@@ -23,7 +23,7 @@ deterministic core.  Each module under ``repro`` is classified as:
 * ``neutral`` — glue with no simulation or host behaviour of its own:
   ``errors.py`` and package ``__init__`` re-export shims.
 
-Rules declare which scopes they apply to; DET/SIM rules default to
+Rules declare which scopes they apply to; DET rules default to
 ``sim`` only, so host-scoped wall-clock use (e.g. sweep timings in
 ``parallel/executor.py``) is exempt by construction, not by
 suppression.
@@ -279,6 +279,17 @@ def _apply_suppressions(source: str, raw: list[Finding],
     return kept, n_suppressed
 
 
+def _lint_one(source: str, norm: str, scope: str,
+              rules: _t.Sequence[_t.Any], costs: dict[str, float],
+              ) -> tuple[list[Finding], int]:
+    """Findings of one file after inline suppressions, and how many
+    were suppressed (an unparseable file is one E999 finding)."""
+    mod = _parse(source, norm, scope)
+    if isinstance(mod, Finding):
+        return [mod], 0
+    return _apply_suppressions(source, _run_rules(mod, rules, costs))
+
+
 def lint_source(source: str, path: str | Path = "fixture.py", *,
                 scope: str | None = None,
                 rules: _t.Iterable[_t.Any] | None = None,
@@ -288,27 +299,13 @@ def lint_source(source: str, path: str | Path = "fixture.py", *,
     ``scope`` overrides the path-derived scope — fixtures in tests pass
     ``scope="sim"`` explicitly.  Findings are sorted by position; inline
     suppressions have already been applied (their count is returned).
-
-    The cross-module rules see an index containing only this one
-    module, so interprocedural findings (DET007) need
-    :func:`lint_paths` over the whole tree — this is exactly the
-    single-function blindness the taint engine exists to fix.
     """
-    from .callgraph import build_index
     from .rules import active_rules
 
     norm, rel = normalize_path(path)
-    mod = _parse(source, norm, scope if scope is not None
-                 else module_scope(rel))
-    if isinstance(mod, Finding):
-        return [mod], 0
-
-    rule_list = list(rules) if rules is not None else active_rules()
-    index = build_index([mod])
-    for rule in rule_list:
-        rule.index = index
-    kept, n_suppressed = _apply_suppressions(
-        source, _run_rules(mod, rule_list, {}))
+    kept, n_suppressed = _lint_one(
+        source, norm, scope if scope is not None else module_scope(rel),
+        list(rules) if rules is not None else active_rules(), {})
     return sorted(kept, key=_position), n_suppressed
 
 
@@ -330,38 +327,20 @@ def lint_paths(paths: _t.Iterable[str | Path], *,
                profile: str | None = None) -> LintReport:
     """Analyze every .py file under ``paths`` against the rule set.
 
-    Two-pass: an index pass parses every file and builds the
-    cross-module symbol table (:mod:`repro.lint.callgraph`), then the
-    rule pass runs every applicable rule per file with the shared
-    index injected — this is what lets DET007 see a host-clock helper
-    defined in one module and called from another.
-
     ``profile`` overrides the path-derived scope for every file
     (``"host"`` relaxes sim-only rules for tests/benchmarks).
     """
-    from .callgraph import build_index
     from .rules import active_rules
 
     rule_list = list(rules) if rules is not None else active_rules()
-    parsed: list[ModuleUnderLint | Finding] = []
-    for file in iter_python_files(paths):
+    files = iter_python_files(paths)
+    report = LintReport(files=len(files))
+    for file in files:
         norm, rel = normalize_path(file)
-        parsed.append(_parse(file.read_text(encoding="utf-8"), norm,
-                             profile if profile is not None
-                             else module_scope(rel)))
-
-    index = build_index(m for m in parsed
-                        if isinstance(m, ModuleUnderLint))
-    for rule in rule_list:
-        rule.index = index
-
-    report = LintReport(files=len(parsed))
-    for mod in parsed:
-        if isinstance(mod, Finding):
-            report.findings.append(mod)
-            continue
-        kept, n_sup = _apply_suppressions(
-            mod.source, _run_rules(mod, rule_list, report.rule_costs))
+        kept, n_sup = _lint_one(
+            file.read_text(encoding="utf-8"), norm,
+            profile if profile is not None else module_scope(rel),
+            rule_list, report.rule_costs)
         report.findings.extend(kept)
         report.suppressed += n_sup
     report.findings.sort(key=_position)

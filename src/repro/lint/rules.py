@@ -9,8 +9,9 @@ every registered rule, and the CLI's ``--list-rules`` renders this
 catalog from the classes' docstrings.
 
 Every message is actionable: it names the sanctioned alternative
-(``env.now``, ``sim/rng.py`` streams, ``sorted(...)``, ``env.process``,
-the telemetry gate) rather than just pointing at the hazard.  See
+(``env.now``, ``sim/rng.py`` streams, ``sorted(...)``, per-run state
+on the env/config object, the telemetry gate) rather than just pointing
+at the hazard.  See
 docs/STATIC_ANALYSIS.md for one bad/good example per rule.
 """
 
@@ -33,13 +34,6 @@ class Rule:
     #: Module scopes the rule applies to ("sim", "host", "neutral",
     #: or "*" for every scope).
     scopes: tuple[str, ...] = ("sim",)
-    #: True when the rule reads the cross-module symbol table; such
-    #: rules see a single-module index under :func:`lint_source` and
-    #: the full project index under :func:`lint_paths`.
-    requires_index: bool = False
-    #: Injected by the engine before the rule pass (a
-    #: :class:`repro.lint.callgraph.ProjectIndex`).
-    index: _t.Any = None
 
     def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
         raise NotImplementedError  # pragma: no cover - abstract
@@ -104,11 +98,6 @@ def _own_nodes(func: ast.AST) -> _t.Iterator[ast.AST]:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.Lambda, ast.ClassDef)):
             stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_generator_def(func: ast.AST) -> bool:
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in _own_nodes(func))
 
 
 _GATE_TOKENS = ("metrics", "tracer", "enabled", "_trace", "telemetry")
@@ -195,141 +184,6 @@ class WallClockOrEntropy(Rule):
 
 
 @rule
-class GlobalRandomModule(Rule):
-    """The global ``random`` module instead of seeded rng streams.
-
-    ``random.random()`` draws from interpreter-global state whose
-    sequence depends on import order and everything else that touched
-    it.  Every consumer must derive its own
-    ``numpy.random.Generator`` via
-    ``RandomTree(seed).generator("stable/label")`` (repro/sim/rng.py)
-    so streams are independent and construction-order-insensitive.
-    """
-
-    id = "DET002"
-    summary = "global `random` module used instead of sim/rng.py streams"
-
-    def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    if a.name == "random" or a.name.startswith("random."):
-                        yield self.finding(
-                            mod, node,
-                            "stdlib `random` is interpreter-global "
-                            "state; derive a stream with "
-                            "`RandomTree(seed).generator(label)` from "
-                            "repro.sim.rng instead")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random" and node.level == 0:
-                    yield self.finding(
-                        mod, node,
-                        "stdlib `random` is interpreter-global state; "
-                        "derive a stream with "
-                        "`RandomTree(seed).generator(label)` from "
-                        "repro.sim.rng instead")
-
-
-#: Call names through which iteration order escapes into simulation
-#: state (scheduling, message emission, event completion).
-_ORDER_SINKS = frozenset({
-    "schedule", "send", "isend", "irecv", "recv", "put", "emit",
-    "process", "succeed", "fail", "push", "transfer", "inject",
-    "append", "appendleft",
-})
-
-
-@rule
-class UnorderedIterationEscapes(Rule):
-    """Iteration over an unordered set feeding simulation state.
-
-    ``set`` iteration order depends on element hashes — for strings it
-    changes with ``PYTHONHASHSEED``, so the same seed can schedule
-    events (or emit messages, or accumulate floats) in a different
-    order in another process.  Wrap the set in ``sorted(...)`` before
-    iterating, or keep an ordered container.  ``dict.values()`` /
-    ``.keys()`` iteration is insertion-ordered and only flagged when
-    the loop body schedules or emits (insertion order itself may
-    derive from an unordered source).
-    """
-
-    id = "DET003"
-    summary = "unordered set/dict iteration escapes into sim state"
-
-    def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
-        for node in ast.walk(mod.tree):
-            iters: list[ast.AST] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                                   ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(mod, it):
-                    yield self.finding(
-                        mod, node,
-                        "iterating a set is hash-order-dependent "
-                        "(varies with PYTHONHASHSEED across "
-                        "processes); iterate `sorted(...)` of it or "
-                        "use an ordered container")
-            if isinstance(node, (ast.For, ast.AsyncFor)) \
-                    and isinstance(node.iter, ast.Call) \
-                    and isinstance(node.iter.func, ast.Attribute) \
-                    and node.iter.func.attr in ("values", "keys") \
-                    and not node.iter.args:
-                for inner in ast.walk(node):
-                    if isinstance(inner, ast.Call) \
-                            and isinstance(inner.func, ast.Attribute) \
-                            and inner.func.attr in _ORDER_SINKS:
-                        yield self.finding(
-                            mod, node,
-                            f"loop over `.{node.iter.func.attr}()` "
-                            f"calls `.{inner.func.attr}(...)`: "
-                            "scheduling/emission order inherits dict "
-                            "insertion order — iterate "
-                            "`sorted(d.items())` to pin it")
-                        break
-
-
-@rule
-class ObjectIdentityOrdering(Rule):
-    """``id()`` used for ordering or keying simulation state.
-
-    ``id(obj)`` is an allocation address: it differs every run, so any
-    ordering, dict key, or tie-break built on it is nondeterministic.
-    Key on a stable identifier instead — node id, rank, or the
-    ``seq`` counters that every event and message already carry.
-    ``__repr__``/``__str__`` debug output is exempt.
-    """
-
-    id = "DET004"
-    summary = "id()/object identity used in ordering or as a key"
-
-    def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) \
-                        and node.func.id == "id" and len(node.args) == 1:
-                    func = mod.enclosing_function(node)
-                    if func is not None and func.name in ("__repr__",
-                                                          "__str__"):
-                        continue
-                    yield self.finding(
-                        mod, node,
-                        "`id()` is an allocation address (differs "
-                        "every run); key/order by a stable id (node "
-                        "id, rank, `seq`) instead")
-                for kw in node.keywords:
-                    if kw.arg == "key" and isinstance(kw.value, ast.Name) \
-                            and kw.value.id == "id":
-                        yield self.finding(
-                            mod, node,
-                            "`key=id` sorts by allocation address; "
-                            "sort by a stable attribute (e.g. "
-                            "`key=lambda x: x.seq`) instead")
-
-
-@rule
 class FloatSumOverUnordered(Rule):
     """Float accumulation over an unordered iterable.
 
@@ -396,119 +250,161 @@ class EnvironRead(Rule):
                     "`ExperimentConfig`/`MachineConfig` instead")
 
 
-# -- simulation-protocol rules ---------------------------------------------
+#: Method names that mutate their receiver in place.
+MUTATOR_METHODS = frozenset({
+    "append", "appendleft", "add", "update", "setdefault", "pop",
+    "popleft", "popitem", "clear", "extend", "insert", "remove",
+    "discard", "sort", "reverse",
+})
 
-@rule
-class DroppedGeneratorCall(Rule):
-    """Process-generator called as a statement without ``env.process``.
-
-    Calling a generator function only *creates* the generator — as a
-    bare statement the object is dropped and the process silently
-    never runs (the classic DES no-op bug).  Wrap the call:
-    ``env.process(worker(...))``.
-    """
-
-    id = "SIM001"
-    summary = "generator called as a statement (process never spawned)"
-
-    def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
-        # Module-level generator functions, and generator methods per
-        # class.  An Attribute call only matches through `self.` within
-        # the defining class, so `other.send(...)` never trips on an
-        # unrelated generator that happens to share the method name.
-        class_of: dict[ast.AST, ast.ClassDef] = {}
-        for cls in ast.walk(mod.tree):
-            if isinstance(cls, ast.ClassDef):
-                for child in ast.walk(cls):
-                    class_of.setdefault(child, cls)
-        module_gens: set[str] = set()
-        method_gens: dict[ast.ClassDef, set[str]] = {}
-        for node in ast.walk(mod.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and _is_generator_def(node):
-                cls = class_of.get(node)
-                if cls is None:
-                    module_gens.add(node.name)
-                else:
-                    method_gens.setdefault(cls, set()).add(node.name)
-        if not module_gens and not method_gens:
-            return
-        for node in ast.walk(mod.tree):
-            if not (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)):
-                continue
-            func = node.value.func
-            callee = None
-            if isinstance(func, ast.Name) and func.id in module_gens:
-                callee = func.id
-            elif isinstance(func, ast.Attribute) \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id == "self":
-                cls = class_of.get(node)
-                if cls is not None and func.attr in method_gens.get(
-                        cls, ()):
-                    callee = func.attr
-            if callee is not None:
-                yield self.finding(
-                    mod, node,
-                    f"calling generator `{callee}(...)` as a bare "
-                    "statement creates it and throws it away — the "
-                    "process never runs; wrap it: "
-                    f"`env.process({callee}(...))`")
+_MUTABLE_CTORS = frozenset({
+    "dict", "list", "set", "collections.defaultdict",
+    "collections.OrderedDict", "collections.deque", "collections.Counter",
+})
 
 
-@rule
-class NonEventYield(Rule):
-    """``yield`` of a plain value inside a registered process generator.
-
-    A simulation process may only yield :class:`~repro.sim.Event`
-    objects (``env.timeout(...)``, receive events, conditions); a bare
-    ``yield`` or a yielded literal/tuple is not waitable and fails at
-    dispatch.  Only generators that the module registers via
-    ``env.process(...)``/``Process(...)`` are checked, so ordinary
-    data-producing generators stay exempt.
-    """
-
-    id = "SIM002"
-    summary = "yield of a non-Event value inside a process generator"
-
-    def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
-        registered: set[str] = set()
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            is_spawn = ((isinstance(node.func, ast.Attribute)
-                         and node.func.attr == "process")
-                        or (isinstance(node.func, ast.Name)
-                            and node.func.id == "Process"))
-            if not is_spawn:
-                continue
-            for arg in node.args:
-                target = arg.func if isinstance(arg, ast.Call) else arg
+def _module_bindings(body: list[ast.stmt]
+                     ) -> _t.Iterator[tuple[str, ast.expr]]:
+    """``(name, value)`` of every module-level assignment, including
+    those under module-level ``if``/``try`` (TYPE_CHECKING guards,
+    version fallbacks)."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
                 if isinstance(target, ast.Name):
-                    registered.add(target.id)
-                elif isinstance(target, ast.Attribute):
-                    registered.add(target.attr)
-        if not registered:
-            return
-        for node in ast.walk(mod.tree):
-            if not (isinstance(node, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef))
-                    and node.name in registered):
+                    yield target.id, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None \
+                and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id, stmt.value
+        elif isinstance(stmt, ast.If):
+            yield from _module_bindings(stmt.body + stmt.orelse)
+        elif isinstance(stmt, ast.Try):
+            yield from _module_bindings(
+                stmt.body + stmt.orelse + stmt.finalbody
+                + [s for h in stmt.handlers for s in h.body])
+
+
+def _mutable_globals(mod: ModuleUnderLint) -> set[str]:
+    """Module-level names bound to mutable containers."""
+    return {name for name, value in _module_bindings(mod.tree.body)
+            if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                  ast.ListComp, ast.SetComp))
+            or (isinstance(value, ast.Call)
+                and mod.resolve(value.func) in _MUTABLE_CTORS)}
+
+
+def _binding_names(target: ast.AST) -> _t.Iterator[str]:
+    """Names a target expression *binds* (``x``, ``x, y = ...``).
+
+    ``obj[k]`` / ``obj.attr`` targets mutate an existing object — they
+    bind nothing, so they must not shadow the module global they write
+    into (that write is exactly what DET008 reports).
+    """
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _binding_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _binding_names(target.value)
+
+
+def _bound_locals(fn: ast.AST) -> set[str]:
+    """Names bound locally in a function (shadowing module globals)."""
+    out: set[str] = set()
+    args = fn.args
+    for a in (args.posonlyargs + args.args + args.kwonlyargs):
+        out.add(a.arg)
+    if args.vararg:
+        out.add(args.vararg.arg)
+    if args.kwarg:
+        out.add(args.kwarg.arg)
+    declared_global: set[str] = set()
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                out.update(_binding_names(t))
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            out.update(_binding_names(node.target))
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                if item.optional_vars is not None:
+                    out.update(_binding_names(item.optional_vars))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.add(node.name)
+        elif isinstance(node, ast.NamedExpr) \
+                and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+    return out - declared_global
+
+
+@rule
+class MutableGlobalFromSim(Rule):
+    """Module global rebound or mutated from sim-scoped code.
+
+    A module-level dict/list/set mutated from simulation code — or a
+    ``global X`` rebinding — makes run N's result depend on runs 1..N-1
+    in the same process: the run is no longer a pure function of
+    (config, seed), and sweep results differ between fresh and warm
+    workers.  Keep per-run state on the env/config object (or an
+    explicit context), and reset any process-wide registry between
+    runs.  Operational switchboards that sim decisions never read may
+    be suppressed with a rationale.
+    """
+
+    id = "DET008"
+    summary = "mutable module-global written from sim-scoped code"
+
+    def check(self, mod: ModuleUnderLint) -> _t.Iterator[Finding]:
+        mutable = _mutable_globals(mod)
+        for fn in ast.walk(mod.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for inner in _own_nodes(node):
-                if not isinstance(inner, ast.Yield):
-                    continue
-                value = inner.value
-                if value is None or isinstance(
-                        value, (ast.Constant, ast.Tuple, ast.List,
-                                ast.Dict, ast.Set)):
+            declared: set[str] = set()
+            for node in _own_nodes(fn):
+                if isinstance(node, ast.Global):
+                    declared.update(node.names)
+            locals_ = _bound_locals(fn)
+            for node in _own_nodes(fn):
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = (node.targets
+                               if isinstance(node, ast.Assign)
+                               else [node.target])
+                    for t in targets:
+                        if isinstance(t, ast.Name) and t.id in declared:
+                            yield self.finding(
+                                mod, node,
+                                f"`global {t.id}` rebinding from sim "
+                                "code makes results depend on call "
+                                "history, not (config, seed); keep the "
+                                "state on the env/config object or "
+                                "reset it per run")
+                        elif isinstance(t, ast.Subscript) \
+                                and isinstance(t.value, ast.Name) \
+                                and t.value.id in mutable \
+                                and t.value.id not in locals_:
+                            yield self.finding(
+                                mod, node,
+                                f"writing into module global "
+                                f"`{t.value.id}[...]` from sim code "
+                                "leaks state across runs; use per-run "
+                                "state on the env/config object")
+                elif isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in MUTATOR_METHODS \
+                        and isinstance(node.func.value, ast.Name) \
+                        and node.func.value.id in mutable \
+                        and node.func.value.id not in locals_:
                     yield self.finding(
-                        mod, inner,
-                        f"process generator `{node.name}` yields a "
-                        "plain value — processes may only yield Event "
-                        "objects (`env.timeout(...)`, recv events, "
-                        "conditions)")
+                        mod, node,
+                        f"`{node.func.value.id}.{node.func.attr}(...)` "
+                        "mutates a module global from sim code; runs "
+                        "stop being a pure function of (config, seed) "
+                        "— keep the container on the env/config object")
 
 
 # -- performance rule ------------------------------------------------------
@@ -711,4 +607,3 @@ class UngatedTelemetry(Rule):
 # (they import ``Rule``/``rule`` from here, so this sits at the bottom
 # of the module to keep the import cycle one-way at definition time).
 from . import rules_async as _rules_async  # noqa: E402,F401
-from . import taint as _taint  # noqa: E402,F401

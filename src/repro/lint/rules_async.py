@@ -11,7 +11,7 @@ discipline the service relies on:
   one request.
 * **ASYNC002** — a coroutine called as a bare statement is created and
   garbage-collected without ever running (the asyncio analogue of the
-  SIM001 dropped-generator bug).
+  dropped-generator bug of a discrete-event process).
 * **ASYNC003** — a task handle dropped on the floor: the task can be
   garbage-collected mid-flight and its exception is silently lost.
 * **ASYNC004** — instance/module state touched from both a
@@ -32,7 +32,7 @@ import ast
 import typing as _t
 
 from .engine import Finding, ModuleUnderLint
-from .rules import Rule, rule, _own_nodes
+from .rules import MUTATOR_METHODS, Rule, rule, _own_nodes
 
 __all__ = ["BLOCKING_CALLS"]
 
@@ -69,14 +69,6 @@ _SYNC_PRIMITIVE_CTORS = frozenset({
 
 _LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock",
                          "threading.Condition"})
-
-#: Attribute mutator methods (shared with DET008's notion of in-place
-#: mutation, duplicated here to avoid an import cycle with taint.py).
-_MUTATORS = frozenset({
-    "append", "appendleft", "add", "update", "setdefault", "pop",
-    "popleft", "popitem", "clear", "extend", "insert", "remove",
-    "discard", "sort", "reverse",
-})
 
 
 def _iter_coroutines(mod: ModuleUnderLint) -> _t.Iterator[ast.AsyncFunctionDef]:
@@ -272,7 +264,7 @@ def _method_accesses(mod: ModuleUnderLint, fn: ast.AST,
                         _is_guarded(mod, node, lock_attrs)))
         elif isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _MUTATORS:
+                and node.func.attr in MUTATOR_METHODS:
             attr = _self_attr(node.func.value)
             if attr is not None:
                 out.append(_AttrAccess(
@@ -458,7 +450,7 @@ class UnsynchronizedSharedState(Rule):
                             mutated.setdefault(t.value.id, node)
                 elif isinstance(node, ast.Call) \
                         and isinstance(node.func, ast.Attribute) \
-                        and node.func.attr in _MUTATORS \
+                        and node.func.attr in MUTATOR_METHODS \
                         and isinstance(node.func.value, ast.Name):
                     mutated.setdefault(node.func.value.id, node)
         if not mutated:
@@ -527,13 +519,16 @@ class ContextVarNoReset(Rule):
 
     @staticmethod
     def _context_var_names(mod: ModuleUnderLint) -> set[str]:
+        """Names bound to a ``ContextVar(...)``, annotated or not."""
         out: set[str] = set()
         for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Assign) \
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) \
                     and isinstance(node.value, ast.Call) \
                     and mod.resolve(node.value.func) in (
                         "contextvars.ContextVar", "ContextVar"):
-                for t in node.targets:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for t in targets:
                     if isinstance(t, ast.Name):
                         out.add(t.id)
         return out

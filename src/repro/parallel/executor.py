@@ -235,9 +235,12 @@ class SweepExecutor:
     # -- the pool slot -----------------------------------------------------
     @property
     def pool_ready(self) -> bool:
-        """True once the pool exists (the server's readiness signal:
-        liveness holds from bind time, readiness from :meth:`warm`)."""
-        return self._pool is not None
+        """True while a usable pool exists (the server's readiness
+        signal: liveness holds from bind time, readiness from
+        :meth:`warm`).  A pool that lost a worker is broken for good,
+        so it reads not-ready until the next point replaces it."""
+        pool = self._pool
+        return pool is not None and not pool._broken
 
     def _live_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:

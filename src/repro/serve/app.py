@@ -504,15 +504,17 @@ class ExperimentServer:
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away; nothing to salvage
+        except asyncio.CancelledError:
+            # The loop is tearing down (server stop while a keep-alive
+            # connection idles in read_request): end quietly, or the
+            # stream protocol logs the cancelled task as an ERROR.
+            pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
-                # CancelledError: the loop is tearing down (stop during
-                # keep-alive idle) and cancelled the close waiter — the
-                # transport is closed either way, end quietly.
-                pass
+                pass  # the transport is closed either way
 
     async def _dispatch(self, request: Request,
                         writer: asyncio.StreamWriter) -> bool:

@@ -11,10 +11,15 @@ When a change is *intentional*, regenerate the goldens::
 """
 
 import difflib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness import run_experiment, run_experiments
 from repro.parallel import ResultCache, SweepExecutor
 
@@ -58,6 +63,67 @@ def test_report_matches_golden(stem, request):
             f"{experiment_id} ({scale}) report drifted from its golden "
             f"copy.\n{diff}\nIf this change is intentional, rerun with "
             f"--regen-golden to update the golden files.")
+
+
+#: The cheapest DES-backed goldens (well under a second together), rerun
+#: in a fresh interpreter under a second string-hash seed.
+HASH_SEED_GOLDENS = ("e1_small", "e2_small", "e6_small", "e15_small",
+                     "e16_small")
+
+
+def collective_timings():
+    """Per-repetition times of every benchmarkable collective algorithm
+    on a small shaped, jittered, noisy machine.
+
+    The goldens run the default algorithms on a jitter-free fabric;
+    this covers the rest of the collectives package and the LogGP
+    jitter stream, which no experiment enables.
+    """
+    from repro.core import Machine, MachineConfig
+    from repro.microbench import CollectiveBenchmark
+    from repro.microbench.collective_bench import _OPS
+    from repro.mpi.collectives import ALGORITHMS
+    from repro.net.loggp import LogGPParams
+
+    out = {}
+    for op, alg in sorted(ALGORITHMS):
+        if op in _OPS:
+            machine = Machine(MachineConfig(
+                n_nodes=8, kernel="commodity-linux", topology="hier:2x2x2",
+                network=LogGPParams(jitter_ns=500), seed=4))
+            out[f"{op}/{alg}"] = CollectiveBenchmark(
+                op, repetitions=3, algorithm=alg).run(machine).times_ns.tolist()
+    return out
+
+
+def test_goldens_and_collectives_identical_under_a_second_hash_seed():
+    """A run is a pure function of (config, seed): neither string
+    hashing nor anything else about the process may reach a result.
+    A second interpreter under ``PYTHONHASHSEED=999`` reproduces the
+    cheap goldens byte for byte and this process's collective timings
+    exactly; set iteration over strings, a host clock, a process id or
+    a module-global counter shows up here as a difference."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    prog = ("import json, sys\n"
+            "from repro.harness import run_experiment\n"
+            "from tests.test_golden_reports import collective_timings\n"
+            "print(json.dumps({\n"
+            "    'goldens': {stem: run_experiment(eid, 'small').render()\n"
+            "                for stem, eid in json.loads(sys.argv[1])},\n"
+            "    'collectives': collective_timings()}))\n")
+    todo = [(stem, GOLDENS[stem][0]) for stem in HASH_SEED_GOLDENS]
+    src = pathlib.Path(repro.__file__).parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="999",
+               PYTHONPATH=os.pathsep.join([str(src), str(root)]))
+    out = subprocess.run([sys.executable, "-c", prog, json.dumps(todo)],
+                         env=env, capture_output=True, text=True,
+                         check=True)
+    child = json.loads(out.stdout)
+    for stem in HASH_SEED_GOLDENS:
+        expected = (GOLDEN_DIR / f"{stem}.txt").read_text()
+        assert child["goldens"][stem] == expected, (
+            f"{stem} differs under PYTHONHASHSEED=999")
+    assert child["collectives"] == collective_timings()
 
 
 def test_e5_golden_from_cold_and_warm_cache(tmp_path):

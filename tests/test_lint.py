@@ -107,81 +107,6 @@ def test_det001_silent_on_env_now_and_in_host_scope():
                     path="repro/parallel/fixture.py") == []
 
 
-# -- DET002: global random module -------------------------------------------
-
-def test_det002_flags_global_random():
-    assert rule_ids("import random\n") == ["DET002"]
-    assert rule_ids("from random import choice\n") == ["DET002"]
-
-
-def test_det002_silent_on_rng_streams():
-    src = """
-        from repro.sim.rng import RandomTree
-        def make(seed):
-            return RandomTree(seed).generator("node/0")
-    """
-    assert rule_ids(src) == []
-
-
-# -- DET003: unordered iteration --------------------------------------------
-
-def test_det003_flags_set_iteration():
-    src = """
-        def emit(env, a, b):
-            for n in set(a) | set(b):
-                env.schedule(n)
-    """
-    assert rule_ids(src) == ["DET003"]
-
-
-def test_det003_flags_values_loop_feeding_a_sink():
-    src = """
-        def emit(env, waiting):
-            for proc in waiting.values():
-                env.schedule(proc)
-    """
-    assert rule_ids(src) == ["DET003"]
-
-
-def test_det003_flags_set_comprehension_source():
-    src = "labels = [str(x) for x in {1, 2, 3}]\n"
-    assert rule_ids(src) == ["DET003"]
-
-
-def test_det003_silent_on_sorted_and_pure_reads():
-    src = """
-        def emit(env, a, b, stats):
-            for n in sorted(set(a) | set(b)):
-                env.schedule(n)
-            total = 0
-            for v in stats.values():
-                total += v
-            return total
-    """
-    assert rule_ids(src) == []
-
-
-# -- DET004: id() ordering ---------------------------------------------------
-
-def test_det004_flags_id_keys_and_sort_keys():
-    src = """
-        def index(objs, table):
-            for o in objs:
-                table[id(o)] = o
-            return sorted(objs, key=id)
-    """
-    assert rule_ids(src) == ["DET004", "DET004"]
-
-
-def test_det004_exempts_repr():
-    src = """
-        class Event:
-            def __repr__(self):
-                return f"<Event {id(self):#x}>"
-    """
-    assert rule_ids(src) == []
-
-
 # -- DET005: float sum over unordered ---------------------------------------
 
 def test_det005_flags_sum_over_sets():
@@ -190,8 +115,7 @@ def test_det005_flags_sum_over_sets():
         def total(xs):
             return sum(set(xs)) + math.fsum(x * 2.0 for x in set(xs))
     """
-    # The generator over set(xs) also trips DET003 — both are real.
-    assert sorted(rule_ids(src)) == ["DET003", "DET005", "DET005"]
+    assert rule_ids(src) == ["DET005", "DET005"]
 
 
 def test_det005_silent_on_ordered_accumulation():
@@ -217,67 +141,6 @@ def test_det006_exempt_in_host_scope():
     src = "import os\nw = os.getenv('WORKERS')\n"
     assert rule_ids(src, scope="host",
                     path="repro/harness/fixture.py") == []
-
-
-# -- SIM001: dropped generator call -----------------------------------------
-
-def test_sim001_flags_bare_generator_statement():
-    src = """
-        def worker(env):
-            yield env.timeout(1)
-        def start(env):
-            worker(env)
-    """
-    assert rule_ids(src) == ["SIM001"]
-
-
-def test_sim001_flags_self_method_generator():
-    src = """
-        class Node:
-            def pump(self):
-                yield self.env.timeout(1)
-            def start(self):
-                self.pump()
-    """
-    assert rule_ids(src) == ["SIM001"]
-
-
-def test_sim001_silent_when_wrapped_or_unrelated():
-    src = """
-        def worker(env):
-            yield env.timeout(1)
-        class Comm:
-            def send(self, msg):
-                yield msg
-        def start(env, transport):
-            env.process(worker(env))
-            transport.send("x")  # unrelated object's send: not ours
-    """
-    assert rule_ids(src) == []
-
-
-# -- SIM002: non-Event yield -------------------------------------------------
-
-def test_sim002_flags_plain_yield_in_registered_process():
-    src = """
-        def proc(env):
-            yield 5
-        def start(env):
-            env.process(proc(env))
-    """
-    assert rule_ids(src) == ["SIM002"]
-
-
-def test_sim002_silent_for_event_yields_and_data_generators():
-    src = """
-        def proc(env):
-            yield env.timeout(5)
-        def intervals():
-            yield (0, 10)  # data generator, never registered
-        def start(env):
-            env.process(proc(env))
-    """
-    assert rule_ids(src) == []
 
 
 # -- PERF001: hot-path __slots__ --------------------------------------------
@@ -413,7 +276,7 @@ def test_inline_suppression_next_line_and_all():
 
 def test_suppression_is_rule_specific():
     src = ("import time\n"
-           "t0 = time.time()  # detlint: disable=DET003\n")
+           "t0 = time.time()  # detlint: disable=DET006\n")
     found, n_sup = lint_source(src, "repro/sim/f.py", scope="sim")
     assert [f.rule for f in found] == ["DET001"] and n_sup == 0
 
@@ -430,7 +293,7 @@ def test_syntax_error_becomes_a_finding():
 def test_json_report_schema_is_stable(tmp_path):
     bad = tmp_path / "repro" / "sim" / "m.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text("import random\n")
+    bad.write_text("import time\nt0 = time.time()\n")
     doc = json.loads(render_json(lint_paths([bad]), paths=[str(bad)]))
 
     assert doc["tool"] == "detlint"
@@ -444,7 +307,7 @@ def test_json_report_schema_is_stable(tmp_path):
                             "message"}
     assert all(set(entry) == {"severity", "summary", "scopes"}
                for entry in doc["rules"].values())
-    assert doc["summary"]["by_rule"] == {"DET002": 1}
+    assert doc["summary"]["by_rule"] == {"DET001": 1}
     assert set(doc["rules"]) == set(RULES)
 
 
@@ -452,7 +315,7 @@ def test_json_report_is_byte_stable(tmp_path):
     """Two runs over the same tree render the identical byte string:
     globally sorted findings, one trailing newline — what CI artifact
     diffing relies on."""
-    for name, src in [("b.py", "import random\n"),
+    for name, src in [("b.py", "import os\nseed = os.getenv('SEED')\n"),
                       ("a.py", "import time\nt = time.time()\n")]:
         target = tmp_path / "repro" / "sim" / name
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -476,9 +339,10 @@ def test_rule_catalog_is_complete():
     cat = rule_catalog()
     assert {r["id"] for r in cat} == set(RULES)
     assert all(r["summary"] and r["doc"] for r in cat)
-    assert len(RULES) >= 19
-    for prefix in ("DET007", "DET008", "DET009", "ASYNC00"):
-        assert any(r["id"].startswith(prefix) for r in cat)
+    assert set(RULES) == {
+        "DET001", "DET005", "DET006", "DET008", "PERF001", "PERF002",
+        "OBS001", "ASYNC001", "ASYNC002", "ASYNC003", "ASYNC004",
+        "ASYNC005"}
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -493,17 +357,17 @@ def test_cli_exit_codes(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("def f(env):\n    return env.now\n")
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\n")
+    dirty.write_text("import time\nt0 = time.time()\n")
 
     assert _cli(str(clean))[0] == 0
     code, text = _cli(str(dirty))
-    assert code == 1 and "DET002" in text
+    assert code == 1 and "DET001" in text
     assert _cli(str(tmp_path / "missing.py"))[0] == 2
 
 
 def test_cli_json_output_and_artifact(tmp_path):
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\n")
+    dirty.write_text("import time\nt0 = time.time()\n")
     artifact = tmp_path / "report.json"
     code, text = _cli(str(dirty), "--json",
                       "--output", str(artifact))
@@ -519,9 +383,9 @@ def test_cli_list_rules():
 
 
 def test_cli_explain():
-    code, text = _cli("--explain", "DET007")
+    code, text = _cli("--explain", "DET008")
     assert code == 0
-    assert "DET007" in text and "taint" in text.lower()
+    assert "DET008" in text and "module-level" in text.lower()
     code, text = _cli("--explain", "NOPE42")
     assert code == 2 and "unknown rule" in text
 
@@ -547,8 +411,8 @@ def test_cli_json_runs_are_byte_identical(tmp_path):
     for i in range(6):
         target = tmp_path / "repro" / "sim" / f"m{i}.py"
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("import random\nimport time\n"
-                          f"t{i} = time.time()\n")
+        target.write_text("import os\nimport time\n"
+                          f"t{i} = time.time(), os.getenv('T{i}')\n")
     first = _cli(str(tmp_path), "--json")
     assert first == _cli(str(tmp_path), "--json") and first[0] == 1
 

@@ -286,3 +286,17 @@ def test_async005_silent_on_the_try_finally_discipline():
                 REQ.reset(token)
     """
     assert rule_ids(src) == []
+
+
+def test_async005_sees_annotated_context_vars():
+    """``obs/oplog.py`` declares its context var with an annotation;
+    the rule must see that shape too."""
+    src = """
+        import contextvars
+
+        CTX: contextvars.ContextVar[tuple] = contextvars.ContextVar("ctx")
+
+        def enter(fields):
+            CTX.set(fields)
+    """
+    assert rule_ids(src) == ["ASYNC005"]

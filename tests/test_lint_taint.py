@@ -1,191 +1,14 @@
-"""Cross-module taint engine tests (DET007–DET009).
+"""DET008 tests: a mutable module global written from sim code.
 
-The headline regression here is the one ISSUE.md demands: a host-scope
-helper returning ``time.time()`` called from sim code is *invisible* to
-v1-style single-module analysis (``lint_source``) and *caught* by the
-two-pass project analysis (``lint_paths``).  The rest exercises the
-taint fixpoint's sources, sanitizers, suppression handling, and the
-DET008/DET009 rules on positive and negative fixtures.
+The state DET008 watches lives in one module, so the rule needs no
+cross-module index: a module-level container (or a ``global``
+rebinding) written from a sim-scoped function makes run N depend on
+runs 1..N-1 in the same process.
 """
 
 import textwrap
-from pathlib import Path
 
-from repro.lint.callgraph import build_index, module_name
-from repro.lint.engine import ModuleUnderLint, lint_paths, lint_source
-from repro.lint.taint import TaintAnalysis
-
-
-def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
-    """Write ``{relative path: source}`` under ``tmp_path/repro``."""
-    root = tmp_path / "repro"
-    for rel, src in files.items():
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(src))
-    return root
-
-
-def project_rules(report):
-    return sorted(f.rule for f in report.findings)
-
-
-# -- DET007: the v1-blindness regression ------------------------------------
-
-LEAKY_HELPER = """
-    import time
-
-    def stamp():
-        return time.time()
-"""
-
-SIM_CALLER = """
-    from repro.harness.clockutil import stamp
-
-    def tick(env):
-        return stamp()
-"""
-
-
-def test_det007_catches_what_single_module_analysis_cannot(tmp_path):
-    """The acceptance regression: the same sim module is clean under
-    v1-style per-file analysis and dirty under the taint engine."""
-    root = make_tree(tmp_path, {
-        "harness/clockutil.py": LEAKY_HELPER,
-        "sim/uses.py": SIM_CALLER,
-    })
-    # v1 view: the sim file alone has no wall-clock call to see.
-    solo, _ = lint_source(textwrap.dedent(SIM_CALLER),
-                          "repro/sim/uses.py", scope="sim")
-    assert solo == []
-    # v2 view: the project index traces the taint across the boundary.
-    report = lint_paths([root])
-    assert project_rules(report) == ["DET007"]
-    (finding,) = report.findings
-    assert finding.path == "repro/sim/uses.py"
-    assert "clockutil.stamp" in finding.message
-    assert "repro.harness.clockutil" in finding.message
-
-
-def test_det007_flags_tainted_global_read(tmp_path):
-    root = make_tree(tmp_path, {
-        "harness/hostinfo.py": """
-            import os
-
-            PID = os.getpid()
-        """,
-        "sim/reads.py": """
-            from repro.harness.hostinfo import PID
-
-            def jitter(env):
-                return PID
-        """,
-    })
-    report = lint_paths([root])
-    assert project_rules(report) == ["DET007"]
-    (finding,) = report.findings
-    assert finding.path == "repro/sim/reads.py"
-    assert "PID" in finding.message
-
-
-def test_det007_traces_taint_through_intermediate_helpers(tmp_path):
-    """Two hops: source -> helper -> wrapper -> sim call site."""
-    root = make_tree(tmp_path, {
-        "harness/clockutil.py": LEAKY_HELPER,
-        "harness/wrap.py": """
-            from repro.harness.clockutil import stamp
-
-            def stamped_label(tag):
-                return f"{tag}@{stamp()}"
-        """,
-        "sim/deep.py": """
-            from repro.harness.wrap import stamped_label
-
-            def label(env):
-                return stamped_label("run")
-        """,
-    })
-    report = lint_paths([root])
-    assert project_rules(report) == ["DET007"]
-    assert report.findings[0].path == "repro/sim/deep.py"
-
-
-def test_det007_silent_on_pure_helpers_and_same_module(tmp_path):
-    root = make_tree(tmp_path, {
-        "harness/mathutil.py": """
-            def double(x):
-                return x * 2
-        """,
-        "sim/pure.py": """
-            from repro.harness.mathutil import double
-
-            def step(env):
-                return double(env.now)
-        """,
-    })
-    assert project_rules(lint_paths([root])) == []
-
-
-def test_det007_suppressed_source_does_not_cascade(tmp_path):
-    """A justified suppression at the source (the oplog pattern) must
-    not re-surface as DET007 at every caller."""
-    root = make_tree(tmp_path, {
-        "harness/clockutil.py": """
-            import time
-
-            def stamp():
-                return time.time()  # detlint: disable=DET001 -- log ts
-        """,
-        "sim/uses.py": SIM_CALLER,
-    })
-    assert project_rules(lint_paths([root])) == []
-
-
-def test_det007_sanitizer_namespace_clears_taint(tmp_path):
-    """Calls resolving into repro.sim.rng return seed-derived values;
-    even a host-state argument does not taint the result."""
-    root = make_tree(tmp_path, {
-        "sim/rng.py": """
-            def stream(label):
-                return hash(label)
-        """,
-        "harness/mixer.py": """
-            import time
-            from repro.sim import rng
-
-            def seeded():
-                return rng.stream(time.time())
-        """,
-        "sim/consumer.py": """
-            from repro.harness.mixer import seeded
-
-            def draw(env):
-                return seeded()
-        """,
-    })
-    assert project_rules(lint_paths([root])) == []
-
-
-def test_taint_analysis_exposes_reasons(tmp_path):
-    root = make_tree(tmp_path, {
-        "harness/clockutil.py": LEAKY_HELPER,
-        "harness/hostinfo.py": "import os\n\nHOST_PID = os.getpid()\n",
-    })
-    mods = [ModuleUnderLint(path.read_text(),
-                            f"repro/{path.relative_to(root)}", "host")
-            for path in sorted(root.rglob("*.py"))]
-    index = build_index(mods)
-    taint = TaintAnalysis.of(index)
-    assert taint is TaintAnalysis.of(index)  # cached per index
-    stamp = taint.tainted_functions["repro.harness.clockutil.stamp"]
-    assert "time.time" in stamp
-    pid = taint.tainted_globals["repro.harness.hostinfo.HOST_PID"]
-    assert "os.getpid" in pid
-
-
-def test_module_name_from_normalized_path():
-    assert module_name("repro/sim/core.py") == "repro.sim.core"
-    assert module_name("repro/harness/__init__.py") == "repro.harness"
+from repro.lint.engine import lint_source
 
 
 # -- DET008: mutable module global written from sim code --------------------
@@ -231,54 +54,3 @@ def test_det008_silent_on_locals_shadows_and_host_scope():
     dirty = "_JOBS = {}\n\ndef track(k, v):\n    _JOBS[k] = v\n"
     found, _ = lint_source(dirty, "repro/harness/fixture.py", scope="host")
     assert [f.rule for f in found] == []
-
-
-# -- DET009: host-tainted defaults ------------------------------------------
-
-def test_det009_flags_tainted_default_argument(tmp_path):
-    root = make_tree(tmp_path, {
-        "harness/clockutil.py": LEAKY_HELPER,
-        "sim/defaults.py": """
-            from repro.harness.clockutil import stamp
-
-            def run(env, t0=stamp()):
-                return t0
-    """,
-    })
-    report = lint_paths([root])
-    rules = project_rules(report)
-    # the call in the default position is both the DET007 sink and the
-    # DET009 import-time evaluation hazard — both are real.
-    assert "DET009" in rules and "DET007" in rules
-    det9 = next(f for f in report.findings if f.rule == "DET009")
-    assert "time.time" in det9.message
-
-
-def test_det009_flags_dataclass_field_defaults():
-    src = """
-        import time
-        from dataclasses import dataclass, field
-
-        @dataclass
-        class RunInfo:
-            started: float = time.time()
-            host_entropy: float = field(default_factory=time.monotonic)
-    """
-    rules = sim_findings(src)
-    assert rules.count("DET009") == 2
-    assert "DET001" in rules  # the direct call is also flagged; both real
-
-
-def test_det009_silent_on_safe_defaults():
-    src = """
-        from dataclasses import dataclass, field
-
-        def run(env, t0=None, scale=1.0):
-            return t0 if t0 is not None else env.now
-
-        @dataclass
-        class RunInfo:
-            started: float = 0.0
-            tags: list = field(default_factory=list)
-    """
-    assert sim_findings(src) == []

@@ -460,6 +460,19 @@ def test_run_survives_a_killed_pool_worker(kill_pool_worker):
     assert not ex.last_errors and not ex.last_stats.errors
 
 
+def test_pool_ready_is_false_over_a_broken_pool(kill_pool_worker):
+    """Readiness reflects a usable pool, not merely an existing one."""
+    base = ExperimentConfig(app="bsp", seed=2, app_params=BSP_SMALL)
+    with SweepExecutor(workers=1, persistent=True) as ex:
+        assert not ex.pool_ready
+        ex.warm()
+        assert ex.pool_ready
+        kill_pool_worker(ex)
+        assert ex._pool is not None and not ex.pool_ready
+        ex.submit(base).result(timeout=60)
+        assert ex.pool_ready
+
+
 def test_points_in_flight_on_a_dying_pool_are_retried():
     """Stress: more workers than cores, a short switch interval, and a
     worker SIGKILLed while points are queued and running.  Pool

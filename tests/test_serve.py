@@ -471,12 +471,35 @@ def test_server_survives_a_killed_pool_worker(tmp_path, kill_pool_worker):
     """A server whose only pool worker died replaces the pool: the next
     compare job streams its record with no error."""
     with BackgroundServer(workers=1, cache=str(tmp_path / "c")) as bg:
+        client = ServeClient(*bg.address)
         kill_pool_worker(bg.server.executor)
+        with pytest.raises(ServeError, match="503"):
+            client.health(ready=True)         # a broken pool is not ready
         job = {"kind": "compare", "app": "bsp", "nodes": 2,
                "pattern": "2.5pct@100Hz", "seed": 31,
                "app_params": _PARAMS}
-        records, stats = ServeClient(*bg.address).records(job)
+        records, stats = client.records(job)
+        assert client.health(ready=True)["ready"] is True
     assert stats["errors"] == 0 and len(records) == 1
+
+
+def test_stop_with_an_idle_keep_alive_client_logs_no_error(caplog):
+    """Stopping the server cancels the handler of an idle keep-alive
+    connection; that cancellation ends the handler quietly instead of
+    surfacing as an asyncio ERROR record."""
+    import http.client
+    import logging
+
+    with BackgroundServer(workers=1, warm=False) as bg:
+        conn = http.client.HTTPConnection(*bg.address, timeout=30)
+        conn.request("GET", "/healthz")
+        resp = conn.getresponse()
+        resp.read()
+        assert resp.getheader("Connection") == "keep-alive"
+    conn.close()
+    errors = [r.getMessage() for r in caplog.records
+              if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert not errors, errors
 
 
 def test_traced_job_streams_one_trace_event(server):
