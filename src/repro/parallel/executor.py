@@ -24,6 +24,7 @@ Per-point wall-clock timings and simulated-vs-cached counts of a
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 import typing as _t
@@ -94,6 +95,37 @@ def _run_point(config: _t.Any, det_check: bool = False,
         result.meta["trace_dropped"] = point_tracer.dropped
         result.meta["worker_pid"] = os.getpid()
     return result, t0, t1
+
+
+if sys.version_info < (3, 12):
+    class _Pool(ProcessPoolExecutor):
+        """A process pool that is marked broken under its submit lock.
+
+        Before Python 3.12 the pool's manager thread marks a pool broken
+        and then fails its pending work items by iterating their dict,
+        holding no lock, while ``submit`` checks the mark and inserts an
+        item under ``_shutdown_lock``.  A submit from another thread
+        that lands during that iteration (done callbacks run inside it,
+        and a retry there forks a whole replacement pool) kills the
+        manager thread with "dictionary changed size during iteration":
+        the remaining futures never resolve and the surviving workers
+        are never stopped, so the interpreter hangs at exit joining
+        them.  Taking the lock to set the mark lets a submit already
+        inside finish first; every later one raises
+        ``BrokenProcessPool``.  Python 3.12 holds the lock for the
+        whole teardown itself.
+        """
+
+        @property
+        def _broken(self) -> _t.Any:
+            return self.__dict__.get("_broken_state", False)
+
+        @_broken.setter
+        def _broken(self, value: _t.Any) -> None:
+            with self._shutdown_lock:
+                self.__dict__["_broken_state"] = value
+else:
+    _Pool = ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -245,18 +277,20 @@ class SweepExecutor:
     def _live_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self._pool_size)
+                self._pool = _Pool(max_workers=self._pool_size)
             return self._pool
 
     def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
         """Retire ``pool`` if it still fills the slot: a pool that lost
         a worker never recovers, and the next attempt builds a fresh
-        one."""
+        one.  The broken pool's manager thread stops its workers.  It is
+        not shut down from here: this often runs inside that thread's
+        teardown, which from Python 3.12 on holds the lock ``shutdown``
+        takes."""
         with self._pool_lock:
             if self._pool is not pool:
                 return
             self._pool = None
-        pool.shutdown(wait=False, cancel_futures=True)
 
     def warm(self) -> None:
         """Spawn the pool's workers now (and verify they answer).

@@ -25,6 +25,7 @@ Quiet twins come from :meth:`~repro.core.ExperimentConfig.quiet_twin`.
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 from dataclasses import dataclass, replace
 
@@ -93,20 +94,33 @@ class ComparisonPlan:
     points: tuple[PointPlan, ...]
     cells: _t.Mapping[_t.Any, _Cell]
 
+    @functools.cached_property
+    def point_cells(self) -> dict[_t.Any, list[_t.Any]]:
+        """Point key -> the cells that need it, in plan order."""
+        out: dict[_t.Any, list[_t.Any]] = {pt.key: [] for pt in self.points}
+        for cell, (quiet_key, noisy_point) in self.cells.items():
+            out[quiet_key].append(cell)
+            if noisy_point is not None:
+                out[noisy_point.key].append(cell)
+        return out
+
     def assemble(self, done: _t.Mapping[_t.Any, _t.Any],
-                 failed: _t.Mapping[_t.Any, PointError] | None = None
+                 failed: _t.Mapping[_t.Any, PointError] | None = None,
+                 *, cells: _t.Iterable[_t.Any] | None = None
                  ) -> tuple[dict[_t.Any, _t.Any], list[PointError]]:
         """Finished points -> ``(results by cell, missing baselines)``.
 
-        Cells iterate in plan order.  A cell whose noisy point is
-        absent is skipped (its own failure is reported by whoever ran
-        it); a cell whose noisy point finished but whose quiet twin did
-        not becomes a ``MissingBaseline`` error, quoting the twin's
-        failure from ``failed`` when known.
+        Cells iterate in plan order, or in the order of ``cells`` when
+        given (assembly is then restricted to those cells).  A cell
+        whose noisy point is absent is skipped (its own failure is
+        reported by whoever ran it); a cell whose noisy point finished
+        but whose quiet twin did not becomes a ``MissingBaseline``
+        error, quoting the twin's failure from ``failed`` when known.
         """
         results: dict[_t.Any, _t.Any] = {}
         missing: list[PointError] = []
-        for cell, (quiet_key, noisy_point) in self.cells.items():
+        for cell in self.cells if cells is None else cells:
+            quiet_key, noisy_point = self.cells[cell]
             quiet = done.get(quiet_key)
             if noisy_point is None:
                 if quiet is not None:

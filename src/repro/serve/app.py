@@ -7,8 +7,9 @@ plan (:func:`~repro.parallel.plan_sweep`, via
 :mod:`~repro.serve.planner`), runs each point through the point path
 every runner shares — :meth:`~repro.parallel.SweepExecutor.submit` on
 a persistent executor (cache lookup, pool, one retry on a live pool,
-cache store) — and streams results back as chunked NDJSON while points
-finish.  Identical in-flight points across concurrent requests
+cache store), one worker-thread hop per job — and streams results
+back as chunked NDJSON while points finish, one chunk per wake-up.
+Identical in-flight points across concurrent requests
 collapse onto one simulation
 (:class:`~repro.serve.inflight.InflightRegistry`).
 
@@ -37,10 +38,10 @@ Endpoints
     document (:mod:`repro.obs.reqtrace`) precedes ``stats``.
 
 Correlation: every request is assigned ``request_id`` (``r-000001``,
-per-server), jobs get ``job_id``, points ``point_key`` — pushed as
-:mod:`repro.obs.oplog` context so every log line emitted while serving
-a request carries its ids, and all error responses echo
-``request_id``.
+per-server) and jobs get ``job_id`` — pushed as :mod:`repro.obs.oplog`
+context so every log line emitted while serving a request carries its
+ids; per-point lines add the point's ``point_key``.  All error
+responses echo ``request_id``.
 
 The server always owns a host-scope :class:`MetricsRegistry` — its
 ``/metrics`` documents are never empty regardless of the process-wide
@@ -58,10 +59,12 @@ likewise deterministic: byte-identical between ``workers=1`` and
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 import typing as _t
 from collections import Counter, deque
+from concurrent.futures import Future
 
 from .. import __version__
 from ..errors import ReproError
@@ -73,7 +76,7 @@ from ..obs.reqtrace import RequestTrace
 from ..parallel import PointRun, SweepExecutor
 from ..parallel.cache import ResultCache
 from .inflight import InflightRegistry
-from .planner import Job, PointPlan, parse_job
+from .planner import Job, parse_job
 from .protocol import (
     ChunkedWriter,
     ProtocolError,
@@ -256,17 +259,26 @@ class ExperimentServer:
             pass
 
     # -- point execution ---------------------------------------------------
-    async def _simulate(self, cfg: _t.Any, *, trace: bool = False
-                        ) -> PointRun:
-        """One point through the executor (the in-flight task body).
+    async def _submit(self, configs: list[_t.Any], trace: bool
+                      ) -> list[Future[PointRun]]:
+        """A job's one cache hop: :meth:`SweepExecutor.submit` for every
+        point it registered, in plan order, from one worker thread (a
+        cache lookup blocks on disk)."""
+        if not configs:
+            return []
+        return await asyncio.to_thread(
+            lambda: [self.executor.submit(cfg, trace=trace)
+                     for cfg in configs])
 
-        :meth:`SweepExecutor.submit` looks the cache up on disk, so it
-        runs off the event loop.  A hit comes back resolved and is read
-        at once (wrapping a done future would still cost a loop wake-up);
-        a miss is counted in the queue depth until its pool future
-        resolves.
+    async def _simulate(self, hop: asyncio.Task[list[Future[PointRun]]],
+                        i: int) -> PointRun:
+        """Point ``i`` of a job's hop (the in-flight task body).
+
+        A hit comes back resolved and is read at once (wrapping a done
+        future would still cost a loop wake-up); a miss is counted in
+        the queue depth until its pool future resolves.
         """
-        fut = await asyncio.to_thread(self.executor.submit, cfg, trace=trace)
+        fut = (await hop)[i]
         if fut.done():
             run = fut.result()
         else:
@@ -284,143 +296,150 @@ class ExperimentServer:
                     round(run.elapsed_s, 6))
         return run
 
-    async def run_point(self, plan: PointPlan, *, trace: bool = False
-                        ) -> tuple[PointRun, str]:
-        """One point with in-flight dedup: join or register, then await.
-
-        Returns the run and its outcome (``"simulated"``, ``"cached"``
-        or ``"deduped"``).  The underlying task is registry-owned and
-        shielded, so this request being cancelled never cancels a
-        computation other subscribers are waiting on.
-        """
-        key = self.executor.point_key(plan.config)
-        with _oplog.context(point_key=key):
-            task = self.inflight.join(key)
-            joined = task is not None
-            if task is None:
-                task = self.inflight.register(
-                    key, lambda: self._simulate(plan.config, trace=trace))
-            run = await asyncio.shield(task)
-            outcome = ("deduped" if joined else
-                       "cached" if run.cached else "simulated")
-            self.stats[f"points_{outcome}"] += 1
-            self.stats["points_total"] += 1
-            self.registry.counter("serve.points_total", scope=HOST,
-                                  outcome=outcome).inc()
-            self.registry.gauge("serve.queue_depth_peak", scope=HOST
-                                ).track_max(self.queue_depth_peak)
-            _oplog.log("point.done", level="debug", outcome=outcome,
-                       label=plan.label, elapsed_s=round(run.elapsed_s, 6),
-                       worker_pid=run.shipped.get("worker_pid"))
-            return run, outcome
-
     # -- job execution -----------------------------------------------------
     async def run_job(self, job: Job,
-                      emit: _t.Callable[[dict[str, _t.Any]],
+                      emit: _t.Callable[[list[dict[str, _t.Any]]],
                                         _t.Awaitable[None]]) -> None:
         """Execute ``job``, streaming events through ``emit``.
 
-        Events are emitted in completion order (``point``), as result
-        rows become computable (``record``), once per traced job
-        (``trace``), and once at the end (``stats``); see
-        :mod:`~repro.serve.protocol`.
+        Every point joins its in-flight task or registers one before the
+        first ``await`` (a job arriving during this one's cache hop
+        joins it); one worker thread then submits the registered points.
+        Points that land in one wake-up are taken in plan order, each
+        ``point`` event followed by the ``record`` of every cell it
+        completes, and the wake-up's events go to ``emit`` as one batch
+        (see :mod:`~repro.serve.protocol`).
         """
         t0 = time.perf_counter()
         rt = RequestTrace(job.kind) if job.trace else None
         if rt is not None:
-            rt.phase("parse")
-            rt.phase("plan")
+            for phase in ("parse", "plan", "simulate"):
+                rt.phase(phase)
         plans = job.points()
         request_id = _oplog.current_context().get("request_id")
         _oplog.log("job.start", kind=job.kind, points=len(plans),
                    trace=job.trace)
+
+        fresh: list[_t.Any] = []
+        # The hop's body starts at this coroutine's first await, once
+        # ``fresh`` holds every point registered below.
+        hop = asyncio.get_running_loop().create_task(
+            self._submit(fresh, job.trace))
+        keys = [self.executor.point_key(plan.config) for plan in plans]
+        joined: list[bool] = []
+        tasks: list[asyncio.Task] = []
+        for plan, key in zip(plans, keys):
+            task = self.inflight.join(key)
+            joined.append(task is not None)
+            if task is None:
+                task = self.inflight.register(
+                    key, functools.partial(self._simulate, hop, len(fresh)))
+                fresh.append(plan.config)
+            tasks.append(task)
+
+        landed: asyncio.Queue[int] = asyncio.Queue()
+        for i, task in enumerate(tasks):
+            task.add_done_callback(lambda _task, i=i: landed.put_nowait(i))
+
         completed: dict[tuple, _t.Any] = {}
-        #: Records emitted per (nodes, pattern).  Quiet aliases of one
-        #: machine size ("quiet", "none") are distinct cells with equal
-        #: records, so the count, not membership, tracks what is out.
-        emitted: Counter[tuple] = Counter()
+        point_cells = job.point_cells
+        #: Points each cell still waits for; a cell's record is built
+        #: when its count reaches zero.  Quiet aliases of one machine
+        #: size ("quiet", "none") are distinct cells with equal records.
+        waiting: Counter[tuple] = Counter(
+            cell for cells in point_cells.values() for cell in cells)
         outcomes = {"simulated": 0, "cached": 0, "deduped": 0}
         point_errors: list[dict[str, _t.Any]] = []
+        n_records = 0
         trace_dropped = 0
-        if rt is not None:
-            rt.phase("simulate")
+        events: list[dict[str, _t.Any]] = []
+        remaining = len(plans)
+        while remaining:
+            batch = [await landed.get()]
+            while not landed.empty():
+                batch.append(landed.get_nowait())
+            batch.sort()
+            remaining -= len(batch)
+            for i in batch:
+                plan = plans[i]
+                try:
+                    run = tasks[i].result()
+                except (Exception, asyncio.CancelledError) as exc:
+                    err = {"label": plan.label, "kind": type(exc).__name__,
+                           "message": str(exc)}
+                    point_errors.append(err)
+                    self.stats["point_errors"] += 1
+                    _oplog.log("point.error", level="error",
+                               label=plan.label, point_key=keys[i],
+                               error=type(exc).__name__, message=str(exc))
+                    events.append({"event": "error",
+                                   "request_id": request_id, **err})
+                    continue
+                outcome = ("deduped" if joined[i] else
+                           "cached" if run.cached else "simulated")
+                self.stats[f"points_{outcome}"] += 1
+                self.stats["points_total"] += 1
+                self.registry.counter("serve.points_total", scope=HOST,
+                                      outcome=outcome).inc()
+                _oplog.log("point.done", level="debug", point_key=keys[i],
+                           outcome=outcome, label=plan.label,
+                           elapsed_s=round(run.elapsed_s, 6),
+                           worker_pid=run.shipped.get("worker_pid"))
+                completed[plan.key] = run.result
+                outcomes[outcome] += 1
+                if rt is not None:
+                    if outcome == "deduped" \
+                            and not rt.has_phase("dedup_wait"):
+                        rt.phase("dedup_wait")
+                    if run.shipped.get("trace") is not None:
+                        rt.add_point(plan.label, run.shipped["trace"])
+                        trace_dropped += run.shipped.get("trace_dropped", 0)
+                events.append({"event": "point", "key": list(plan.key),
+                               "label": plan.label, "outcome": outcome,
+                               "elapsed_s": round(run.elapsed_s, 6)})
+                cells = point_cells[plan.key]
+                waiting.subtract(cells)
+                ready = [cell for cell in cells if not waiting[cell]]
+                if ready:
+                    records, _ = job.assemble(completed, cells=ready)
+                    n_records += len(records)
+                    events += [{"event": "record", "record": record}
+                               for record in records]
+            self.registry.gauge("serve.queue_depth_peak", scope=HOST
+                                ).track_max(self.queue_depth_peak)
+            if remaining:
+                await emit(events)
+                events = []
 
-        tasks = [asyncio.ensure_future(self.run_point(plan, trace=job.trace))
-                 for plan in plans]
-        by_task = dict(zip(tasks, plans))
-        pending = set(tasks)
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED)
-                for task in done:
-                    plan = by_task[task]
-                    try:
-                        run, outcome = task.result()
-                    except (Exception, asyncio.CancelledError) as exc:
-                        err = {"label": plan.label,
-                               "kind": type(exc).__name__,
-                               "message": str(exc)}
-                        point_errors.append(err)
-                        self.stats["point_errors"] += 1
-                        _oplog.log("point.error", level="error",
-                                   label=plan.label,
-                                   error=type(exc).__name__,
-                                   message=str(exc))
-                        await emit({"event": "error",
-                                    "request_id": request_id, **err})
-                        continue
-                    completed[plan.key] = run.result
-                    outcomes[outcome] += 1
-                    if rt is not None:
-                        if outcome == "deduped" \
-                                and not rt.has_phase("dedup_wait"):
-                            rt.phase("dedup_wait")
-                        if run.shipped.get("trace") is not None:
-                            rt.add_point(plan.label, run.shipped["trace"])
-                            trace_dropped += run.shipped.get(
-                                "trace_dropped", 0)
-                    await emit({"event": "point", "key": list(plan.key),
-                                "label": plan.label, "outcome": outcome,
-                                "elapsed_s": round(run.elapsed_s, 6)})
-                    records, _ = job.assemble(completed)
-                    ready: Counter[tuple] = Counter()
-                    for record in records:
-                        cell = (record["nodes"], record["pattern"])
-                        ready[cell] += 1
-                        if ready[cell] > emitted[cell]:
-                            emitted[cell] += 1
-                            await emit({"event": "record",
-                                        "record": record})
-        finally:
-            for task in pending:
-                task.cancel()
-
-        _, missing = job.assemble(completed)
+        # Cells still waiting lost a point: a noisy point whose quiet
+        # twin failed is a MissingBaseline error.
+        _, missing = job.assemble(
+            completed, cells=[cell for cell, n in waiting.items() if n])
         for err in missing:
             point_errors.append(err)
-            await emit({"event": "error", "request_id": request_id, **err})
+            events.append({"event": "error", "request_id": request_id,
+                           **err})
         if rt is not None:
             rt.phase("stream")
-            await emit({"event": "trace", "request_id": request_id,
-                        "points": rt.n_points,
-                        "dropped_events": trace_dropped,
-                        "trace": rt.to_chrome()})
+            events.append({"event": "trace", "request_id": request_id,
+                           "points": rt.n_points,
+                           "dropped_events": trace_dropped,
+                           "trace": rt.to_chrome()})
         wall_s = time.perf_counter() - t0
-        await emit({"event": "stats", "kind": job.kind,
-                    "points": len(plans),
-                    "records": sum(emitted.values()),
-                    "simulated": outcomes["simulated"],
-                    "cached": outcomes["cached"],
-                    "deduped": outcomes["deduped"],
-                    "errors": len(point_errors),
-                    "wall_s": round(wall_s, 6)})
+        events.append({"event": "stats", "kind": job.kind,
+                       "points": len(plans),
+                       "records": n_records,
+                       "simulated": outcomes["simulated"],
+                       "cached": outcomes["cached"],
+                       "deduped": outcomes["deduped"],
+                       "errors": len(point_errors),
+                       "wall_s": round(wall_s, 6)})
+        await emit(events)
         self.registry.histogram("serve.job_wall_seconds", scope=HOST,
                                 bounds=REQUEST_WALL_BOUNDS,
                                 kind=job.kind).observe(round(wall_s, 6))
         _oplog.log("job.finished", kind=job.kind, points=len(plans),
-                   records=sum(emitted.values()),
-                   errors=len(point_errors),
+                   records=n_records, errors=len(point_errors),
                    wall_s=round(wall_s, 6))
 
     # -- metrics / logs documents ------------------------------------------

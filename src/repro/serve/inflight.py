@@ -5,12 +5,12 @@ given machine size needs that size's quiet baseline).  The registry
 maps the point's content key — the same PYTHONHASHSEED-stable
 :func:`repro.parallel.config_key` the on-disk cache uses — to the
 server-owned :class:`asyncio.Task` computing it.  The first request
-registers the task; every later request joins it and awaits the same
-result object with zero extra work.  Because the task belongs to the
-registry rather than to any request, a subscriber disconnecting (its
-handler task getting cancelled) never tears the computation away from
-the other subscribers — requests await through
-:func:`asyncio.shield`.
+registers the task; every later request joins it and receives the
+same result object with zero extra work.  Because the task belongs to
+the registry rather than to any request, a subscriber disconnecting
+(its handler task getting cancelled) never tears the computation away
+from the other subscribers — requests read a task's result from a
+done callback and never await or cancel it.
 
 Single-loop discipline: the registry is touched only from the server's
 event loop, so plain dict operations are race-free and no locking is

@@ -54,7 +54,7 @@ class Job:
 
     @functools.cached_property
     def _plan(self) -> ComparisonPlan:
-        """The job's sweep plan (built once; assembly runs per point)."""
+        """The job's sweep plan (built once; assembly runs per cell)."""
         return plan_sweep(self.base, self.nodes, self.patterns)
 
     def points(self) -> list[PointPlan]:
@@ -63,16 +63,24 @@ class Job:
         pattern)``."""
         return list(self._plan.points)
 
-    def assemble(self, points: _t.Mapping[tuple, RunResult]
+    @property
+    def point_cells(self) -> dict[tuple, list[tuple[int, str]]]:
+        """Point key -> the ``(nodes, pattern)`` cells that need it."""
+        return self._plan.point_cells
+
+    def assemble(self, points: _t.Mapping[tuple, RunResult], *,
+                 cells: _t.Iterable[tuple[int, str]] | None = None
                  ) -> tuple[list[dict[str, _t.Any]],
                             list[dict[str, _t.Any]]]:
         """Completed points -> ``(records, errors)``.
 
         Records match :func:`repro.core.sweep_records` exactly; noisy
         points whose quiet baseline is missing become
-        ``MissingBaseline`` errors.
+        ``MissingBaseline`` errors.  ``cells`` restricts both to those
+        cells (the server builds each cell's record once, when its
+        last point lands).
         """
-        results, missing = self._plan.assemble(points)
+        results, missing = self._plan.assemble(points, cells=cells)
         return flat_records(results), [
             {"label": e.label, "kind": e.kind, "message": e.message}
             for e in missing]

@@ -9,7 +9,9 @@ a dependency of this repository, and nothing here needs more than
 Streaming protocol
 ------------------
 A job response is a chunked ``application/x-ndjson`` body: one JSON
-object per line, streamed as the underlying points finish.
+object per line, streamed as the underlying points finish.  The events
+of one server wake-up (every point that landed together, the records
+they complete) share one chunk, so a chunk may carry several lines.
 
 ``{"event": "point", ...}``
     A point completed: ``key``, ``label``, ``outcome``
@@ -164,15 +166,18 @@ class ChunkedWriter:
         self._writer = writer
         self._started = False
 
-    async def send(self, doc: dict[str, _t.Any]) -> None:
-        """Stream one event line (writes the response head lazily)."""
+    async def send(self, docs: _t.Sequence[dict[str, _t.Any]]) -> None:
+        """Stream event lines as one chunk, one write and one drain
+        (the first call carries the response head in the same write)."""
+        if not docs:
+            return
+        head = b""
         if not self._started:
-            self._writer.write(_head(200, "application/x-ndjson",
-                                     [("Transfer-Encoding", "chunked")])
-                               + b"\r\n")
+            head = _head(200, "application/x-ndjson",
+                         [("Transfer-Encoding", "chunked")]) + b"\r\n"
             self._started = True
-        payload = encode_event(doc)
-        self._writer.write(f"{len(payload):x}\r\n".encode()
+        payload = b"".join(map(encode_event, docs))
+        self._writer.write(head + f"{len(payload):x}\r\n".encode()
                            + payload + b"\r\n")
         await self._writer.drain()
 

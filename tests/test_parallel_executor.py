@@ -498,6 +498,66 @@ def test_points_in_flight_on_a_dying_pool_are_retried():
         records_blob([run_experiment(cfg).as_dict() for cfg in configs])
 
 
+def test_submit_racing_a_pool_teardown_never_strands_a_future():
+    """A submit already inside the pool when a worker dies must land
+    before the manager thread fails the pending work, or be refused —
+    never be inserted while that thread iterates the work items (which
+    kills it: the other pending futures never resolve, and surviving
+    workers are never stopped)."""
+    import threading
+    import time
+    from concurrent.futures.process import BrokenProcessPool
+
+    in_teardown = threading.Event()
+
+    class PausingItems(dict):
+        """Work-item dict whose armed insert waits for the teardown."""
+
+        armed: threading.Event | None = None
+
+        def __setitem__(self, key, value):
+            if self.armed is not None:
+                entered, self.armed = self.armed, None
+                entered.set()
+                in_teardown.wait(2)  # a fixed pool makes the teardown wait
+            super().__setitem__(key, value)
+
+    with SweepExecutor(workers=1, persistent=True) as ex:
+        pool = ex._live_pool()
+        items = pool._pending_work_items = PausingItems()
+        ex.warm()
+        pid = pool.submit(os.getpid).result(timeout=30)
+        running = pool.submit(time.sleep, 60)
+        queued = pool.submit(time.sleep, 60)
+        resume = threading.Event()
+
+        def hold(_fut):  # the manager thread, failing pending work
+            in_teardown.set()
+            resume.wait(30)
+
+        running.add_done_callback(hold)
+        entered = items.armed = threading.Event()
+        raced: list = []
+
+        def race():
+            try:
+                raced.append(pool.submit(int, 0))
+            except BrokenProcessPool as exc:
+                raced.append(exc)
+
+        racer = threading.Thread(target=race)
+        racer.start()
+        assert entered.wait(30)  # inside submit, past the broken check
+        os.kill(pid, signal.SIGKILL)
+        racer.join(30)
+        resume.set()
+        assert not racer.is_alive()
+        assert isinstance(queued.exception(timeout=10), BrokenProcessPool)
+        outcome = raced[0]
+        if not isinstance(outcome, BrokenProcessPool):
+            outcome = outcome.exception(timeout=10)
+        assert isinstance(outcome, BrokenProcessPool)
+
 def test_submit_matches_serial():
     cfg = ExperimentConfig(app="bsp", seed=5, app_params=BSP_SMALL)
     from repro.core import run_experiment

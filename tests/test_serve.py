@@ -11,13 +11,17 @@ The heavyweight properties the service must hold:
 
 import asyncio
 import json
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ExperimentConfig, run_with_baseline, sweep_records
 from repro.errors import ConfigError
 from repro.serve import (
     BackgroundServer,
+    ExperimentServer,
     InflightRegistry,
     ServeClient,
     ServeError,
@@ -267,6 +271,157 @@ def test_identical_concurrent_jobs_simulate_once(server):
     # (noisy + its quiet baseline), everything else dedup/cache.
     assert simulated == 2
     assert deduped + cached == 14
+
+
+def test_job_arriving_during_a_pending_hop_joins_its_points():
+    """Points are registered before a job's one cache hop, so a second
+    job that overlaps the first while the first's hop is still blocked
+    joins those points instead of submitting them again."""
+    server = ExperimentServer(workers=1)
+    server.warm()
+    gate, entered = threading.Event(), threading.Event()
+    submitted = []
+    real_submit = server.executor.submit
+
+    def gated_submit(config, **kwargs):
+        entered.set()
+        assert gate.wait(30)
+        submitted.append(server.executor.point_key(config))
+        return real_submit(config, **kwargs)
+
+    server.executor.submit = gated_submit
+    first = parse_job(_sweep_job(nodes=[2, 4], patterns=["2.5pct@100Hz"],
+                                 seed=40))
+    second = parse_job(_sweep_job(nodes=[4, 6],
+                                  patterns=["2.5pct@100Hz", "quiet"],
+                                  seed=40))
+    streams: list[list] = [[], []]
+
+    async def run(job, out):
+        async def emit(events):
+            out.extend(events)
+        await server.run_job(job, emit)
+
+    async def main():
+        a = asyncio.ensure_future(run(first, streams[0]))
+        assert await asyncio.to_thread(entered.wait, 30)
+        b = asyncio.ensure_future(run(second, streams[1]))
+        await asyncio.sleep(0.05)  # b registers and joins; a's hop waits
+        gate.set()
+        await asyncio.gather(a, b)
+
+    try:
+        asyncio.run(main())
+    finally:
+        server.close()
+    ka, kb = ({server.executor.point_key(pt.config) for pt in job.points()}
+              for job in (first, second))
+    assert sorted(submitted) == sorted(ka | kb)  # each point submitted once
+    stats = server.stats
+    assert stats["points_simulated"] == len(ka | kb)
+    assert stats["points_deduped"] == len(ka & kb) == 2
+    assert stats["points_cached"] == 0
+    assert (stats["points_simulated"] + stats["points_deduped"]
+            + stats["points_cached"] == stats["points_total"]
+            == len(ka) + len(kb))
+    for job, events in zip((first, second), streams):
+        assert events[-1]["event"] == "stats" and events[-1]["errors"] == 0
+        records, _ = job_records(events)
+        assert _blob(records) == _blob(sweep_records(
+            job.base, nodes=job.nodes, patterns=job.patterns))
+
+
+# -- generated streams -------------------------------------------------------
+
+#: Small enough that a point is a few milliseconds.
+_STREAM_PARAMS = {"work_ns": 200_000, "iterations": 3}
+_STREAM_PATTERNS = ("2.5pct@1000Hz", "5pct@2000Hz", "quiet", "none")
+
+
+@pytest.fixture(scope="module")
+def stream_server(tmp_path_factory):
+    """A one-worker server whose cache the stream tests may clear."""
+    cache_dir = tmp_path_factory.mktemp("stream-cache")
+    with BackgroundServer(workers=1, cache=str(cache_dir)) as bg:
+        yield bg
+
+
+@given(nodes=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+       patterns=st.lists(st.sampled_from(_STREAM_PATTERNS), min_size=1,
+                         max_size=4),
+       seed=st.integers(0, 3), data=st.data())
+@settings(max_examples=20, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_generated_streams_cold_warm_and_half_warm(stream_server, nodes,
+                                                   patterns, seed, data):
+    """Cold, warm and half-warm (a drawn subset of points pre-stored):
+    the served records equal ``sweep_records`` and every cell's record
+    is streamed exactly once, quiet aliases and repeated patterns
+    included."""
+    doc = {"kind": "sweep", "app": "bsp", "nodes": nodes,
+           "patterns": patterns, "seed": seed, "app_params": _STREAM_PARAMS}
+    job = parse_job(doc)
+    points = job.points()
+    cells = dict.fromkeys((p, s) for p in nodes for s in patterns)
+    expected = sweep_records(job.base, nodes=job.nodes,
+                             patterns=job.patterns)
+    assert len(expected) == len(cells)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(points),
+                              max_size=len(points)), label="pre-stored")
+    cache = stream_server.server.executor.cache
+    client = ServeClient(*stream_server.address, timeout=60.0)
+    cache.clear()
+    for state in ("cold", "warm", "half-warm"):
+        if state == "half-warm":
+            stored = {pt.key: cache.get(pt.config) for pt in points}
+            cache.clear()
+            for pt, pre in zip(points, keep):
+                if pre:
+                    cache.put(pt.config, stored[pt.key])
+        events = list(client.submit(doc))
+        stats = events[-1]
+        assert stats["event"] == "stats" and stats["errors"] == 0, state
+        streamed = [e["record"] for e in events if e["event"] == "record"]
+        assert stats["records"] == len(streamed) == len(cells), state
+        records, _ = job_records(events)
+        assert _blob(records) == _blob(expected), state
+        cached = {"cold": 0, "warm": len(points),
+                  "half-warm": sum(keep)}[state]
+        assert (stats["cached"], stats["simulated"]) == (
+            cached, len(points) - cached), state
+
+
+def test_warm_job_streams_in_plan_order(stream_server):
+    """A fully cached job streams its points in plan order, each record
+    right after the point that completes it, identically on a repeat
+    (``wall_s`` aside)."""
+    doc = {"kind": "sweep", "app": "bsp", "nodes": [2, 3, 4],
+           "patterns": ["2.5pct@1000Hz", "quiet", "5pct@2000Hz", "none",
+                        "1pct@1000Hz"],
+           "seed": 9, "app_params": _STREAM_PARAMS}
+    client = ServeClient(*stream_server.address, timeout=60.0)
+    client.records(doc)  # warm every point
+    streams = [list(client.submit(doc)) for _ in range(2)]
+    job = parse_job(doc)
+    plan_keys = [list(pt.key) for pt in job.points()]
+    for events in streams:
+        assert events[-1]["cached"] == len(plan_keys)
+        del events[-1]["wall_s"]
+        assert [e["key"] for e in events
+                if e["event"] == "point"] == plan_keys
+        # A record's cell is completed by the latest point streamed
+        # before it: the quiet point for an alias, else the noisy one.
+        last = None
+        for e in events:
+            if e["event"] == "point":
+                last = tuple(e["key"])
+            elif e["event"] == "record":
+                r = e["record"]
+                assert last in (("quiet", r["nodes"]),
+                                ("noisy", r["nodes"], r["pattern"]))
+                if last[0] == "quiet":
+                    assert r["pattern"] == "quiet"
+    assert streams[0] == streams[1]
 
 
 def test_cache_shared_between_cli_and_server(server, tmp_path):
