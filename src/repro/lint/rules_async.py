@@ -7,8 +7,8 @@ hide from per-function review.  These rules encode the concurrency
 discipline the service relies on:
 
 * **ASYNC001** — a blocking call (``time.sleep``, sync socket/file IO,
-  ``subprocess``) inside a coroutine stalls the whole event loop, not
-  one request.
+  ``subprocess``, a future's ``.result()``/``.exception()``) inside a
+  coroutine stalls the whole event loop, not one request.
 * **ASYNC002** — a coroutine called as a bare statement is created and
   garbage-collected without ever running (the asyncio analogue of the
   dropped-generator bug of a discrete-event process).
@@ -71,6 +71,10 @@ _LOCK_CTORS = frozenset({"threading.Lock", "threading.RLock",
                          "threading.Condition"})
 
 
+#: Future methods that wait for the outcome when it is not there yet.
+_FUTURE_WAITS = frozenset({"result", "exception"})
+
+
 def _iter_coroutines(mod: ModuleUnderLint) -> _t.Iterator[ast.AsyncFunctionDef]:
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.AsyncFunctionDef):
@@ -81,12 +85,15 @@ def _iter_coroutines(mod: ModuleUnderLint) -> _t.Iterator[ast.AsyncFunctionDef]:
 class BlockingCallInCoroutine(Rule):
     """Blocking call inside a coroutine (stalls the whole event loop).
 
-    ``time.sleep``, ``subprocess`` calls, synchronous sockets, and
-    direct file IO inside an ``async def`` block every task on the
-    loop, not just the current request.  Use ``await
-    asyncio.sleep(...)``, ``loop.run_in_executor`` /
-    ``asyncio.to_thread`` for CPU or file work, and asyncio transports
-    for sockets.
+    ``time.sleep``, ``subprocess`` calls, synchronous sockets,
+    direct file IO, and a future's ``.result()`` / ``.exception()``
+    inside an ``async def`` block every task on the loop, not just the
+    current request.  Use ``await asyncio.sleep(...)``,
+    ``loop.run_in_executor`` / ``asyncio.to_thread`` for CPU or file
+    work, asyncio transports for sockets, and ``await
+    asyncio.wrap_future(fut)`` for a pool future.  A future read in the
+    true branch of ``if <same>.done():`` is already resolved and
+    passes.
     """
 
     id = "ASYNC001"
@@ -108,9 +115,16 @@ class BlockingCallInCoroutine(Rule):
                 elif isinstance(node.func, ast.Attribute) \
                         and node.func.attr in _BLOCKING_IO_METHODS:
                     hit = f"<path>.{node.func.attr}"
+                elif isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in _FUTURE_WAITS \
+                        and not _under_done_check(mod, node, coro):
+                    hit = f"<future>.{node.func.attr}"
                 if hit is not None:
                     fix = ("`await asyncio.sleep(...)`"
                            if name == "time.sleep" else
+                           "`await asyncio.wrap_future(...)`, or read it "
+                           "under `if <future>.done():`"
+                           if hit.startswith("<future>") else
                            "`await asyncio.to_thread(...)` / "
                            "`loop.run_in_executor(...)`")
                     yield self.finding(
@@ -118,6 +132,30 @@ class BlockingCallInCoroutine(Rule):
                         f"`{hit}(...)` blocks the event loop inside "
                         f"coroutine `{coro.name}`; every task on the "
                         f"loop stalls — use {fix}")
+
+
+def _under_done_check(mod: ModuleUnderLint, call: ast.Call,
+                      coro: ast.AsyncFunctionDef) -> bool:
+    """True when ``call`` (``<f>.result()``) sits in the true branch
+    of an ``if <f>.done():`` (alone or in an ``and``) inside ``coro``."""
+    target = ast.dump(call.func.value)
+
+    def checks_done(test: ast.AST) -> bool:
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+            return any(checks_done(v) for v in test.values)
+        return (isinstance(test, ast.Call) and not test.args
+                and isinstance(test.func, ast.Attribute)
+                and test.func.attr == "done"
+                and ast.dump(test.func.value) == target)
+
+    child: ast.AST = call
+    parent = mod.parents.get(call)
+    while parent is not None and parent is not coro:
+        if isinstance(parent, ast.If) and child in parent.body \
+                and checks_done(parent.test):
+            return True
+        child, parent = parent, mod.parents.get(parent)
+    return False
 
 
 @rule

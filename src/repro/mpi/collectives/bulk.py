@@ -6,11 +6,14 @@ messages, in the same per-rank program order, with the same reduction
 costs.  Each builder is a round-for-round mirror of the corresponding
 generator in :mod:`repro.mpi.collectives`; the equivalence tests pin
 the two together byte-for-byte, so any change to a generator algorithm
-must be replayed here.
+must be replayed here.  Every operation
+:class:`~repro.microbench.CollectiveBenchmark` offers has a builder
+for its default algorithm (:data:`SUPPORTED_ALGORITHMS`).
 
 :func:`unsupported_reason` is the single gate deciding whether a
 ``(MachineConfig, CollectiveBenchmark)`` pair may take the fast path;
-:func:`run_bulk` executes it.
+it draws no per-rank noise phases, so it is cheap to ask twice.
+:func:`run_bulk` executes the pair, drawing the phases once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ SUPPORTED_ALGORITHMS: dict[str, frozenset[str]] = {
     "bcast": frozenset({"binomial", "two-level"}),
     "allreduce": frozenset({"recursive-doubling", "two-level",
                             "two-level-ring"}),
+    "allgather": frozenset({"ring"}),
+    "alltoall": frozenset({"pairwise"}),
 }
+
+
+def _pow2(x: int) -> bool:
+    return x > 0 and not (x & (x - 1))
 
 
 # -- flat building blocks ----------------------------------------------------
@@ -190,6 +199,16 @@ def rounds_for(operation: str, algorithm: str, P: int, *, size: int,
         return (_intra_fanin_rounds(P, g, 0, 0)
                 + _dissemination_rounds(leaders)
                 + _intra_bcast_rounds(P, g, 0))
+    if operation == "allgather":
+        # ``allgather.ring``: P-1 sendrecvs to the right neighbour.
+        return [RoundSpec(world, np.roll(world, -1), size, 0)] * (P - 1)
+    if operation == "alltoall":
+        # ``alltoall.pairwise``: round k pairs rank r with r XOR k (P a
+        # power of two), else sends to r+k and receives from r-k.
+        if _pow2(P):
+            return [RoundSpec(world, world ^ k, size, 0) for k in range(1, P)]
+        return [RoundSpec(world, (world + k) % P, size, 0)
+                for k in range(1, P)]
     if operation == "bcast":
         if algorithm == "binomial":
             return _binomial_bcast_rounds(world, root, size)
@@ -223,10 +242,6 @@ def _resolved_algorithm(config: "MachineConfig", op: str,
     if override:
         return override
     return (config.collectives or {}).get(op, _DEFAULT_ALGORITHMS[op])
-
-
-def _pow2(x: int) -> bool:
-    return x > 0 and not (x & (x - 1))
 
 
 def _tie_reason(op: str, algo: str, P: int, shape) -> str | None:
@@ -271,6 +286,7 @@ def unsupported_reason(config: "MachineConfig",
     engine does not model (host kernel activity, stochastic noise,
     faults, heterogeneous nodes) or telemetry that only the per-rank
     path can produce (metrics, traces, ``det_check``, critical path).
+    The noise check asks only for the plan's shape: no phase is drawn.
     """
     from ...obs import runtime as _obs
 
@@ -311,7 +327,7 @@ def unsupported_reason(config: "MachineConfig",
             or _obs.det_check_enabled():
         return "telemetry (metrics/trace/det_check) needs the DES"
     if config.injection is not None \
-            and config.injection.periodic_profile(config.n_nodes) is None:
+            and not config.injection.is_strictly_periodic(config.n_nodes):
         return "injected noise is not strictly periodic"
     return None
 

@@ -94,6 +94,11 @@ class InjectionPlan:
             raise ConfigError(f"n_nodes must be > 0, got {n_nodes}")
         return [self.source_for(i, n_nodes) for i in range(n_nodes)]
 
+    def is_strictly_periodic(self, n_nodes: int) -> bool:
+        """Whether :meth:`periodic_profile` has a profile to return
+        (quiet counts), decided without drawing any per-node phase."""
+        return self._periodic_probe(n_nodes) is not None
+
     def periodic_profile(self, n_nodes: int):
         """The plan's strictly-periodic form, when it has one.
 
@@ -105,15 +110,11 @@ class InjectionPlan:
         custom-factory patterns.  This is the contract the bulk-rank
         fast path (:mod:`repro.sim.bulk`) vectorizes over.
         """
-        if n_nodes <= 0:
-            raise ConfigError(f"n_nodes must be > 0, got {n_nodes}")
-        if callable(self.pattern):
+        probe = self._periodic_probe(n_nodes)
+        if probe is None:
             return None
-        probe = parse_pattern(self.pattern, seed=node_seed(self.seed, 0))
         if isinstance(probe, NullNoise):
             return (0, 0, None)
-        if not isinstance(probe, PeriodicNoise):
-            return None
         import numpy as np
         phases = np.fromiter(
             (self._phase_for(i, n_nodes, probe.period)
@@ -122,6 +123,16 @@ class InjectionPlan:
         return (probe.period, probe.duration, phases)
 
     # -- internals -------------------------------------------------------------
+    def _periodic_probe(self, n_nodes: int):
+        """Node 0's source when every node runs the same periodic (or
+        null) pattern, else ``None``; draws no phase."""
+        if n_nodes <= 0:
+            raise ConfigError(f"n_nodes must be > 0, got {n_nodes}")
+        if callable(self.pattern):
+            return None
+        probe = parse_pattern(self.pattern, seed=node_seed(self.seed, 0))
+        return probe if isinstance(probe, (NullNoise, PeriodicNoise)) else None
+
     def _phase_for(self, node_id: int, n_nodes: int, period: int) -> int:
         if period <= 0 or self.alignment == "synchronized":
             return 0

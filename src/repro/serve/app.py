@@ -363,6 +363,7 @@ class ExperimentServer:
             for i in batch:
                 plan = plans[i]
                 try:
+                    # detlint: disable-next=ASYNC001 -- done: i came from its done callback
                     run = tasks[i].result()
                 except (Exception, asyncio.CancelledError) as exc:
                     err = {"label": plan.label, "kind": type(exc).__name__,

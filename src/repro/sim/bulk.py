@@ -49,6 +49,9 @@ __all__ = ["BulkDivergence", "RoundSpec", "BulkEngine", "BulkTimeline",
 #: subtree by at most a few events), far below this.
 _HISTORY = 32
 
+#: Fields of one booked receive slot (rows of the slot history).
+_ARR, _START, _RESUME, _TS, _SSTART = range(5)
+
 #: Iteration cap for the per-repetition arrival fixpoint.  Collision
 #: cascades settle in 2–4 iterations in practice; hitting the cap means
 #: the timing equations oscillate, which only the DES can resolve.
@@ -143,6 +146,15 @@ def timelines_from_finish(finish: _t.Sequence[_t.Mapping[int, tuple[int, int]]],
     return BulkTimeline(starts, ends)
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sorting: numpy 2's default hash path is ~25x
+    slower on a large round list's int64 edge keys."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 @dataclass
 class _CompiledRound:
     """A :class:`RoundSpec` bound to one engine's channel table."""
@@ -154,9 +166,8 @@ class _CompiledRound:
     #: ``version`` matches the engine's; rebound lazily after merges.
     eidx: np.ndarray
     version: int
-    wire_const: int
-    extra: np.ndarray
-    order: np.ndarray
+    #: Wire time plus the per-pair topology cost of each message.
+    wire: np.ndarray
 
 
 class _BulkNoise:
@@ -229,7 +240,8 @@ class BulkEngine:
     noise:
         ``(period, duration, phases)`` from
         :meth:`repro.noise.InjectionPlan.periodic_profile`, or ``None``
-        for a quiet machine.
+        for a quiet machine.  A periodic profile without its phases
+        raises :class:`SimulationError`.
     reduce_cost_per_byte:
         As on :class:`repro.core.MachineConfig`.
     """
@@ -259,11 +271,13 @@ class BulkEngine:
         self.params = params
         self.topology = topology
         self.reduce_cost_per_byte = reduce_cost_per_byte
-        if noise is None or noise[2] is None and noise[0] == 0:
-            period, duration, phases = (noise or (0, 0, None))
-            self.noise = _BulkNoise(period, duration, None)
-        else:
-            self.noise = _BulkNoise(*noise)
+        period, duration, phases = noise or (0, 0, None)
+        if period and phases is None:
+            # _BulkNoise would run it as a quiet machine.
+            raise SimulationError(
+                "periodic noise profile carries no per-rank phases; "
+                "draw it with InjectionPlan.periodic_profile")
+        self.noise = _BulkNoise(period, duration, phases)
         #: Rank CPU clocks.
         self.t = np.zeros(n_ranks, dtype=np.int64)
         #: NIC serialization state (NIC._tx_free_at / _rx_free_at).
@@ -272,16 +286,19 @@ class BulkEngine:
         #: Latest (time-max) booked arrival per rank.
         self.rx_last = np.full(n_ranks, -1, dtype=np.int64)
         #: Recent receive slots per rank (circular, booking order):
-        #: arrival and slot start.  Empty entries read as an arrival of
-        #: -1 with slot end 0 — exactly the NIC's initial free time —
-        #: so they act as the "no predecessor yet" boundary.
-        self._hist_arr = np.full((n_ranks, _HISTORY), -1, dtype=np.int64)
-        self._hist_start = np.full((n_ranks, _HISTORY), -params.g,
-                                   dtype=np.int64)
-        self._hist_resume = np.zeros((n_ranks, _HISTORY), dtype=np.int64)
-        self._hist_ts = np.zeros((n_ranks, _HISTORY), dtype=np.int64)
-        self._hist_sstart = np.zeros((n_ranks, _HISTORY), dtype=np.int64)
+        #: field ``f`` (``_ARR`` ... ``_SSTART``) of rank ``r``'s slot
+        #: ``c`` sits at ``_hist[f, c * n_ranks + r]``, so a round whose
+        #: receivers share a cursor writes contiguous runs.  Empty
+        #: entries read as an arrival of -1 with slot end 0 — exactly
+        #: the NIC's initial free time — so they act as the "no
+        #: predecessor yet" boundary.  Only the strict pass reads it,
+        #: so it goes stale (unrestored) at the first divergence.
+        self._hist = np.zeros((5, _HISTORY * n_ranks), dtype=np.int64)
+        self._hist[_ARR] = -1
+        self._hist[_START] = -params.g
         self._hist_cur = np.zeros(n_ranks, dtype=np.intp)
+        #: Scratch for prepare()'s duplicate-destination check.
+        self._mark = np.empty(n_ranks, dtype=np.intp)
         #: Channel FIFO clearance, keyed by compacted edge index.
         self._edge_keys: np.ndarray | None = None
         self._chan: np.ndarray | None = None
@@ -293,31 +310,37 @@ class BulkEngine:
     def prepare(self, rounds: _t.Sequence[RoundSpec]) -> list["_CompiledRound"]:
         """Precompute per-round constants for a round list.
 
-        Per round: the sender→edge-slot mapping for the FIFO state, the
-        size-only wire constant, the per-pair extra cost vector, and
-        the receive permutation.  The compiled form is reusable across
-        repetitions (the rounds repeat; only the clocks move) and
-        across later ``prepare`` calls — new edges re-index the channel
-        table, and previously compiled rounds rebind lazily.
+        Per round: the sender→edge-slot mapping for the FIFO state and
+        each message's wire time plus per-pair extra cost.  The compiled
+        form is reusable across repetitions (the rounds repeat; only the
+        clocks move) and across later ``prepare`` calls — new edges
+        re-index the channel table, and previously compiled rounds
+        rebind lazily.
         """
         keys = [r.senders * self.P + r.dst for r in rounds]
-        all_keys = (np.unique(np.concatenate(keys)) if keys
-                    else np.empty(0, dtype=np.int64))
+        all_keys = _unique(np.concatenate(keys) if keys
+                           else np.empty(0, dtype=np.int64))
         if self._edge_keys is None:
             self._edge_keys = all_keys
             self._chan = np.full(len(all_keys), -1, dtype=np.int64)
-        elif len(np.setdiff1d(all_keys, self._edge_keys, assume_unique=True)):
-            # Merge newly seen edges, carrying existing clearances over.
-            # Slot positions shift, so older compiled rounds must rebind.
-            merged = np.unique(np.concatenate([self._edge_keys, all_keys]))
-            chan = np.full(len(merged), -1, dtype=np.int64)
-            chan[np.searchsorted(merged, self._edge_keys)] = self._chan
-            self._edge_keys = merged
-            self._chan = chan
-            self._edge_version += 1
+        else:
+            merged = _unique(np.concatenate([self._edge_keys, all_keys]))
+            if len(merged) != len(self._edge_keys):
+                # Merge newly seen edges, carrying existing clearances
+                # over.  Slot positions shift, so older compiled rounds
+                # must rebind.
+                chan = np.full(len(merged), -1, dtype=np.int64)
+                chan[np.searchsorted(merged, self._edge_keys)] = self._chan
+                self._edge_keys = merged
+                self._chan = chan
+                self._edge_version += 1
         compiled = []
         for r, key in zip(rounds, keys):
-            if len(np.unique(r.dst)) != len(r.dst):
+            # O(messages) duplicate check: a repeated destination keeps
+            # only one of its message indices in the scratch array.
+            idx = np.arange(len(r.dst))
+            self._mark[r.dst] = idx
+            if not np.array_equal(self._mark[r.dst], idx):
                 raise SimulationError(
                     "bulk round has multiple messages to one destination")
             compiled.append(_CompiledRound(
@@ -325,9 +348,9 @@ class BulkEngine:
                 key=key,
                 eidx=np.searchsorted(self._edge_keys, key),
                 version=self._edge_version,
-                wire_const=self.params.wire_time(r.size, 0),
-                extra=self.topology.extra_cost_vec(r.senders, r.dst, r.size),
-                order=np.argsort(r.dst, kind="stable")))
+                wire=(self.params.wire_time(r.size, 0)
+                      + self.topology.extra_cost_vec(r.senders, r.dst,
+                                                     r.size))))
         return compiled
 
     # -- execution ----------------------------------------------------------
@@ -342,11 +365,10 @@ class BulkEngine:
         if cr.version != self._edge_version:
             cr.eidx = np.searchsorted(self._edge_keys, cr.key)
             cr.version = self._edge_version
-        r, eidx = cr.spec, cr.eidx
+        eidx = cr.eidx
         o = self.params.o
-        g = self.params.g
         t, noise = self.t, self.noise
-        s = r.senders
+        s = cr.spec.senders
 
         # Pay LogGP o as CPU work (noise-stretched), then inject
         # through the tx NIC and the wire.
@@ -356,27 +378,32 @@ class BulkEngine:
         else:
             ts = start + noise.wall_cached(start, o, s, wall_cache)
         departure = np.maximum(ts, self.tx_free[s])
-        self.tx_free[s] = departure + g
-        arrival = departure + cr.wire_const + cr.extra
+        self.tx_free[s] = departure + self.params.g
         # FIFO per channel: strictly increasing arrivals (the DES bumps
         # a would-be tie to prev+1; max() is identical since clearances
         # only ever grow).
-        arrival = np.maximum(arrival, self._chan[eidx] + 1)
+        arrival = np.maximum(departure + cr.wire, self._chan[eidx] + 1)
         self._chan[eidx] = arrival
         t[s] = ts
         return arrival, ts, start
 
     def run_round(self, compiled_round: "_CompiledRound") -> None:
-        """Advance the machine through one compiled round."""
-        cr = compiled_round
-        r = cr.spec
-        order = cr.order
-        g = self.params.g
+        """Advance the machine through one compiled round.
+
+        Strict pass only: the slot history it reads is not kept once
+        a repetition has diverged into the arrival fixpoint, so a call
+        after that raises :class:`SimulationError`.
+        """
+        if self._sticky_fixpoint:
+            raise SimulationError(
+                "run_round after the arrival fixpoint took over: the "
+                "strict pass's slot history is stale")
+        r = compiled_round.spec
         o = self.params.o
         t, noise = self.t, self.noise
         d = r.dst
 
-        arrival, ts, start = self._send_phase(cr)
+        arrival, ts, start = self._send_phase(compiled_round)
 
         # Receive side.  The DES serializes each rank's rx NIC in
         # *global arrival* order; this engine books slots in *round*
@@ -386,76 +413,93 @@ class BulkEngine:
         # landing after a later round's) is reconciled against the
         # rank's slot history, which either reproduces the DES slot
         # exactly or raises BulkDivergence when it genuinely depends on
-        # the DES tie-break.
-        arr = arrival[order]
-        recvers = d[order]
-        ts_m = ts[order]
-        sstart_m = start[order]
-        in_order = arr > self.rx_last[recvers]
-        if in_order.all():
-            rx_start = np.maximum(arr, self.rx_free[recvers])
-            self._book(recvers, arr, rx_start,
-                       np.maximum(t[recvers], rx_start), ts_m, sstart_m)
-            self.rx_last[recvers] = arr
-            self.rx_free[recvers] = rx_start + g
-        else:
-            rx_start = np.empty_like(arr)
-            io = np.nonzero(in_order)[0]
-            rio = recvers[io]
-            rx_start[io] = np.maximum(arr[io], self.rx_free[rio])
-            self._book(rio, arr[io], rx_start[io],
-                       np.maximum(t[rio], rx_start[io]), ts_m[io],
-                       sstart_m[io])
-            self.rx_last[rio] = arr[io]
-            self.rx_free[rio] = rx_start[io] + g
-            for i in np.nonzero(~in_order)[0]:
-                rx_start[i] = self._slot_out_of_order(
-                    int(recvers[i]), int(arr[i]), int(ts_m[i]),
-                    int(sstart_m[i]))
+        # the DES tie-break.  Destinations are unique within a round,
+        # so message order does not matter.
+        rx_start = np.maximum(arrival, self.rx_free[d])
+        fresh = arrival > self.rx_last[d]
+        in_order = fresh.all()
+        if not in_order:
+            late = np.nonzero(~fresh)[0]
+            rx_start[late] = self._late_slots(d[late], arrival[late],
+                                              ts[late], start[late])
         # Handoff == rx_start (no host NIC processing on the machines
         # the bulk path admits); the receiver resumes at
         # max(own clock, handoff) — the in-frame resume rule — then
         # pays LogGP o, then any reduction work.
-        resume = np.maximum(t[recvers], rx_start)
-        done = resume + noise.wall(resume, o, recvers)
+        resume = np.maximum(t[d], rx_start)
+        self._book(d, arrival, rx_start, resume, ts, start)
+        if in_order:
+            self.rx_last[d] = arrival
+            self.rx_free[d] = rx_start + self.params.g
+        else:
+            # Late slots leave rx_last and rx_free as they are (a tie
+            # with the latest arrival already moved rx_free).
+            self.rx_last[d[fresh]] = arrival[fresh]
+            self.rx_free[d[fresh]] = rx_start[fresh] + self.params.g
+        done = resume + noise.wall(resume, o, d)
         if r.combine_work:
-            done = done + noise.wall(done, r.combine_work, recvers)
-        t[recvers] = done
+            done = done + noise.wall(done, r.combine_work, d)
+        t[d] = done
 
     # -- rx NIC slot bookkeeping -------------------------------------------
     def _book(self, ranks: np.ndarray, arr: np.ndarray, rx_start: np.ndarray,
               resume: np.ndarray, ts: np.ndarray,
               sstart: np.ndarray) -> None:
-        """Record slots in the per-rank circular history (ranks are
-        unique within a round, so the fancy writes never collide)."""
+        """Record one round's slots in the circular history (ranks are
+        unique within a round, so the writes never collide)."""
         cur = self._hist_cur[ranks]
-        self._hist_arr[ranks, cur] = arr
-        self._hist_start[ranks, cur] = rx_start
-        self._hist_resume[ranks, cur] = resume
-        self._hist_ts[ranks, cur] = ts
-        self._hist_sstart[ranks, cur] = sstart
+        flat = cur * self.P + ranks
+        for field, values in zip(self._hist,
+                                 (arr, rx_start, resume, ts, sstart)):
+            field[flat] = values
         self._hist_cur[ranks] = (cur + 1) % _HISTORY
 
-    def _book_one(self, dd: int, a: int, rx_start: int, resume: int,
-                  ts: int, sstart: int) -> None:
-        cur = int(self._hist_cur[dd])
-        self._hist_arr[dd, cur] = a
-        self._hist_start[dd, cur] = rx_start
-        self._hist_resume[dd, cur] = resume
-        self._hist_ts[dd, cur] = ts
-        self._hist_sstart[dd, cur] = sstart
-        self._hist_cur[dd] = (cur + 1) % _HISTORY
+    def _late_slots(self, dd: np.ndarray, a: np.ndarray, ts: np.ndarray,
+                    sstart: np.ndarray) -> np.ndarray:
+        """DES-exact rx slots for arrivals at or before ``rx_last[dd]``.
 
-    def _slot_out_of_order(self, dd: int, a: int, ts: int,
-                           sstart: int) -> int:
-        """DES-exact rx slot for an arrival at or before ``rx_last[dd]``.
-
-        In global time order the message slots between a predecessor
+        In global time order each message slots between a predecessor
         and a successor that the engine has already booked.  Its slot
         start is ``max(a, predecessor end)`` — bit-equal to what the
         DES computed when it served this arrival — *provided* inserting
         it does not move any already-booked slot, i.e. the slot ends at
-        or before the nearest successor's *arrival*.
+        or before the nearest successor's *arrival*.  An arrival equal
+        to a booked one goes to :meth:`_tied_slot`; anything the
+        history cannot settle raises :class:`BulkDivergence`.
+        """
+        g = self.params.g
+        ha = self._hist[_ARR].reshape(_HISTORY, self.P)[:, dd]
+        hs = self._hist[_START].reshape(_HISTORY, self.P)[:, dd]
+        tied = (ha == a).any(axis=0)
+        if (~tied & (a == self.rx_last[dd])).any():
+            raise BulkDivergence(
+                "arrival ties a slot evicted from the rank's history; "
+                "rerun with the per-rank generator path")
+        pred = ha < a
+        real = ha >= 0
+        if (~tied & real.all(axis=0) & ~(real & pred).any(axis=0)).any():
+            raise BulkDivergence(
+                "arrival reordered past the rank's retained slot "
+                "history; rerun with the per-rank generator path")
+        # Empty entries are predecessors (-1 < a), so every column has one.
+        pred_end = np.where(pred, hs, np.iinfo(np.int64).min).max(axis=0) + g
+        succ = ha > a
+        succ_arr = np.where(
+            succ.any(axis=0),
+            np.where(succ, ha, np.iinfo(np.int64).max).min(axis=0),
+            self.rx_last[dd])
+        handoff = np.maximum(a, pred_end)
+        if (~tied & (handoff + g > succ_arr)).any():
+            raise BulkDivergence(
+                "receive-NIC slot collision between reordered arrivals; "
+                "rerun with the per-rank generator path")
+        for i in np.nonzero(tied)[0]:
+            handoff[i] = self._tied_slot(int(dd[i]), int(a[i]), int(ts[i]),
+                                         int(sstart[i]))
+        return handoff
+
+    def _tied_slot(self, dd: int, a: int, ts: int, sstart: int) -> int:
+        """Rx slot for an arrival equal to one already booked at ``dd``.
 
         An exact-nanosecond tie with a booked arrival is served in DES
         event-sequence order, which equals arrival-event *creation*
@@ -470,91 +514,52 @@ class BulkEngine:
         already propagated), and an equal-instant consequential tie is
         unknowable; both raise.
         """
-        ha = self._hist_arr[dd]
-        hs = self._hist_start[dd]
+        hist = self._hist[:, dd::self.P]
+        ha = hist[_ARR]
         g = self.params.g
         tie = np.nonzero(ha == a)[0]
         if len(tie) > 1:
             raise BulkDivergence(
                 "three-way simultaneous arrival at one rank; the DES "
                 "tie-break is only reproducible on the generator path")
-        if len(tie) == 1:
-            j = int(tie[0])
-            s1 = int(hs[j])
-            r1 = int(self._hist_resume[dd, j])
-            ts1 = int(self._hist_ts[dd, j])
-            sst1 = int(self._hist_sstart[dd, j])
-            t_now = int(self.t[dd])
-            # Benign iff swapping the two slots changes neither resume:
-            # the partner's (r1) and this rank's clock (t_now) must both
-            # already sit at/after the later slot s1 + g.
-            benign = g == 0 or (r1 >= s1 + g and t_now >= s1 + g)
-            # DES order for equal arrivals = arrival-event creation
-            # order: the send instants, or — when those also tie — the
-            # creation instants of the send-overhead compute events
-            # (each sender's pre-overhead clock).
-            des_first = ts1 < ts or (ts1 == ts and sst1 < sstart)
-            if not (benign or des_first):
-                raise BulkDivergence(
-                    "consequential simultaneous arrivals at one rank "
-                    "with no earlier-send order to break the tie; the "
-                    "per-rank generator path reproduces the DES order")
-            handoff = s1 + g
-            succ = ha > a
-            if succ.any() and handoff + g > int(ha[succ].min()):
-                raise BulkDivergence(
-                    "receive-NIC slot collision behind a tied arrival; "
-                    "rerun with the per-rank generator path")
-            if a == self.rx_last[dd]:
-                # The partner held the latest slot; this one now does.
-                self.rx_free[dd] = max(int(self.rx_free[dd]), handoff + g)
-            self._book_one(dd, a, handoff, max(t_now, handoff), ts, sstart)
-            return handoff
-
-        if a == self.rx_last[dd]:
+        _a1, s1, r1, ts1, sst1 = (int(v) for v in hist[:, tie[0]])
+        t_now = int(self.t[dd])
+        # Benign iff swapping the two slots changes neither resume:
+        # the partner's (r1) and this rank's clock (t_now) must both
+        # already sit at/after the later slot s1 + g.
+        benign = g == 0 or (r1 >= s1 + g and t_now >= s1 + g)
+        # DES order for equal arrivals = arrival-event creation order:
+        # the send instants, or — when those also tie — the creation
+        # instants of the send-overhead compute events (each sender's
+        # pre-overhead clock).
+        des_first = ts1 < ts or (ts1 == ts and sst1 < sstart)
+        if not (benign or des_first):
             raise BulkDivergence(
-                "arrival ties a slot evicted from the rank's history; "
-                "rerun with the per-rank generator path")
-        pred = ha < a
-        real = ha >= 0
-        if real.all() and not (real & pred).any():
-            raise BulkDivergence(
-                "arrival reordered past the rank's retained slot "
-                "history; rerun with the per-rank generator path")
-        pred_end = int(hs[pred].max()) + g
+                "consequential simultaneous arrivals at one rank "
+                "with no earlier-send order to break the tie; the "
+                "per-rank generator path reproduces the DES order")
+        handoff = s1 + g
         succ = ha > a
-        succ_arr = int(ha[succ].min()) if succ.any() else int(self.rx_last[dd])
-        handoff = max(a, pred_end)
-        if handoff + g > succ_arr:
+        if succ.any() and handoff + g > int(ha[succ].min()):
             raise BulkDivergence(
-                "receive-NIC slot collision between reordered arrivals; "
+                "receive-NIC slot collision behind a tied arrival; "
                 "rerun with the per-rank generator path")
-        self._book_one(dd, a, handoff, max(int(self.t[dd]), handoff), ts,
-                       sstart)
+        if a == self.rx_last[dd]:
+            # The partner held the latest slot; this one now does.
+            self.rx_free[dd] = max(int(self.rx_free[dd]), handoff + g)
         return handoff
 
     # -- repetition-level arrival fixpoint -----------------------------------
-    def _snapshot(self) -> dict:
-        return {
-            "t": self.t.copy(), "tx_free": self.tx_free.copy(),
-            "rx_free": self.rx_free.copy(), "rx_last": self.rx_last.copy(),
-            "chan": None if self._chan is None else self._chan.copy(),
-            "hist": (self._hist_arr.copy(), self._hist_start.copy(),
-                     self._hist_resume.copy(), self._hist_ts.copy(),
-                     self._hist_sstart.copy(), self._hist_cur.copy()),
-        }
+    def _snapshot(self) -> tuple:
+        """The state a repetition's rounds move, except the strict
+        pass's slot history and ``rx_last``: a restore happens only on
+        the way into the fixpoint, which never reads them."""
+        return (self.t.copy(), self.tx_free.copy(), self.rx_free.copy(),
+                self._chan.copy())
 
-    def _restore(self, snap: dict) -> None:
-        self.t[:] = snap["t"]
-        self.tx_free[:] = snap["tx_free"]
-        self.rx_free[:] = snap["rx_free"]
-        self.rx_last[:] = snap["rx_last"]
-        if snap["chan"] is not None:
-            self._chan[:] = snap["chan"]
-        for dst, src in zip((self._hist_arr, self._hist_start,
-                             self._hist_resume, self._hist_ts,
-                             self._hist_sstart, self._hist_cur),
-                            snap["hist"]):
+    def _restore(self, snap: tuple) -> None:
+        for dst, src in zip((self.t, self.tx_free, self.rx_free,
+                             self._chan), snap):
             dst[:] = src
 
     def _sweep(self, m_recv: np.ndarray, table: np.ndarray,
@@ -613,7 +618,7 @@ class BulkEngine:
         v[gstart] = np.maximum(v[gstart], rx_free0[recv[gstart]])
         u = np.maximum.accumulate(v + gid * _BIG) - gid * _BIG
         h = u + idx_in_g * g
-        return order, recv, ra, h, gstart, gid, idx_in_g
+        return order, recv, h, gstart
 
     def _note_full_ties(self, full_tie: np.ndarray) -> None:
         if full_tie.any():
@@ -626,7 +631,7 @@ class BulkEngine:
             self.tie_breaks += int(full_tie.sum())
 
     def _rep_fixpoint(self, barrier_c: list, coll_c: list,
-                      snap: dict) -> np.ndarray:
+                      snap: tuple) -> np.ndarray:
         """Run one repetition exactly by iterating arrivals to fixpoint.
 
         The strict pass books receive slots in round order and raises
@@ -640,13 +645,15 @@ class BulkEngine:
         is re-run against those slots, and the produced arrivals are
         compared to the prediction.  When they agree the slot table is
         self-consistent with the true arrivals — byte-identical to the
-        DES — and the state is committed.  Returns the per-rank clocks
-        after the aligning barrier (the repetition's start stamps).
+        DES — and each receiver's last slot sets its NIC free time.
+        Returns the per-rank clocks after the aligning barrier (the
+        repetition's start stamps).
         """
         rounds = list(barrier_c) + list(coll_c)
         n_barrier = len(barrier_c)
         o = self.params.o
         g = self.params.g
+        rx_free0 = snap[2]
         m_recv = np.concatenate([cr.spec.dst for cr in rounds])
         sizes = [len(cr.spec.dst) for cr in rounds]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -657,7 +664,6 @@ class BulkEngine:
         for _ in range(_MAX_FIXPOINT):
             self._restore(snap)
             actual = np.empty((3, n_msg), dtype=np.int64)
-            res_flat = np.empty(n_msg, dtype=np.int64)
             mid = self.t.copy()
             for ri, cr in enumerate(rounds):
                 send_cache, recv_cache = caches[ri]
@@ -681,51 +687,26 @@ class BulkEngine:
                     done = done + self.noise.wall_cached(
                         done, cr.spec.combine_work, d, recv_cache)
                 self.t[d] = done
-                res_flat[lo:hi] = resume
                 if ri == n_barrier - 1:
                     mid = self.t.copy()
             if (slot_h is not None
                     and np.array_equal(actual, predicted)):
-                self._commit_slots(m_recv, actual, res_flat,
-                                   snap["rx_free"])
+                last = np.append(gstart[1:], len(recv)) - 1
+                self.rx_free[recv[last]] = h[last] + g
+                # tie_breaks counts the converged table's ties twice,
+                # once as the prediction and once as the committed
+                # table: the figure E17 reports.
+                self.tie_breaks += served_ties
                 return mid
             predicted = actual
-            order, recv, ra, h, _, _, _ = self._sweep(
-                m_recv, predicted, snap["rx_free"])
+            ties = self.tie_breaks
+            order, recv, h, gstart = self._sweep(m_recv, predicted, rx_free0)
+            served_ties = self.tie_breaks - ties
             slot_h = np.empty(n_msg, dtype=np.int64)
             slot_h[order] = h
         raise BulkDivergence(
             "arrival times failed to reach a fixpoint; the collision "
             "cascade only settles on the event path")
-
-    def _commit_slots(self, m_recv: np.ndarray, table: np.ndarray,
-                      res_flat: np.ndarray, rx_free0: np.ndarray) -> None:
-        """Install a converged repetition's slots into the NIC state.
-
-        Rebuilds ``rx_last``/``rx_free`` from each receiver's final
-        slot and writes its most recent ``_HISTORY`` slots (in time
-        order) into the circular history, so following repetitions can
-        run the strict pass against them.
-        """
-        order, recv, ra, h, gstart, gid, idx_in_g = self._sweep(
-            m_recv, table, rx_free0)
-        g = self.params.g
-        glen = np.diff(np.concatenate((gstart, [len(ra)])))
-        last = np.concatenate((gstart[1:], [len(ra)])) - 1
-        self.rx_last[recv[last]] = ra[last]
-        self.rx_free[recv[last]] = h[last] + g
-        from_end = glen[gid] - 1 - idx_in_g
-        keep = from_end < _HISTORY
-        rk = recv[keep]
-        # Newest slot lands just before the (unchanged) write cursor,
-        # so later strict-pass bookings overwrite oldest-first.
-        ring = (self._hist_cur[rk] + (_HISTORY - 1 - from_end[keep])) % _HISTORY
-        sel = order[keep]
-        self._hist_arr[rk, ring] = ra[keep]
-        self._hist_start[rk, ring] = h[keep]
-        self._hist_resume[rk, ring] = res_flat[sel]
-        self._hist_ts[rk, ring] = table[1][sel]
-        self._hist_sstart[rk, ring] = table[2][sel]
 
     def run_benchmark(self, barrier_rounds: _t.Sequence[RoundSpec],
                       coll_rounds: _t.Sequence[RoundSpec], *,

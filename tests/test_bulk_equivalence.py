@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import Machine, MachineConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.microbench import CollectiveBenchmark
-from repro.mpi.collectives.bulk import run_bulk, unsupported_reason
+from repro.mpi.collectives.bulk import (rounds_for, run_bulk,
+                                        unsupported_reason)
 from repro.noise import InjectionPlan
-from repro.sim.bulk import BulkDivergence, timelines_from_finish
+from repro.sim.bulk import BulkDivergence, BulkEngine, timelines_from_finish
 
 SH = "1x4x2@fat-tree"
 REPS = 5
@@ -73,6 +74,13 @@ CASES = {
     "torus": dict(P=16, topology="torus:4x2x2"),
     "fat-tree-noisy": dict(P=16, topology="fat-tree",
                            pattern="2.5pct@1000Hz"),
+    # Pairwise alltoall: shifted schedule at 7 and 12 ranks, XOR at 64.
+    "alltoall-shifted-7": dict(P=7, op="alltoall",
+                               pattern="2.5pct@1000Hz"),
+    "alltoall-shifted-12": dict(P=12, op="alltoall"),
+    "alltoall-xor-64": dict(P=64, op="alltoall"),
+    "allgather-ring-7": dict(P=7, op="allgather", pattern="2.5pct@100Hz",
+                             alignment="staggered"),
 }
 
 
@@ -154,10 +162,57 @@ def test_run_auto_modes():
         bench.run_auto(config, mode="nonsense")
 
 
+def test_bulk_run_draws_each_phase_once(monkeypatch):
+    """The gate asks only whether the noise is strictly periodic; the
+    per-rank phases are drawn once, for the engine."""
+    P = 16
+    drawn = []
+    phase_for = InjectionPlan._phase_for
+
+    def counting(self, node_id, n_nodes, period):
+        drawn.append(node_id)
+        return phase_for(self, node_id, n_nodes, period)
+
+    monkeypatch.setattr(InjectionPlan, "_phase_for", counting)
+    stats = {}
+    _bench().run_auto(_config(P, pattern="2.5pct@1000Hz"), stats_out=stats)
+    assert "fixpoint_reps" in stats  # the bulk engine ran
+    assert sorted(drawn) == list(range(P))
+
+
+def test_engine_rejects_periodic_profile_without_phases():
+    """A hand-built phase-free profile would run as a quiet machine."""
+    config = _config(4, pattern="2.5pct@1000Hz")
+    period, duration, _phases = config.injection.periodic_profile(4)
+    assert period > 0
+    with pytest.raises(SimulationError, match="phases"):
+        BulkEngine(4, config.network_params(), config.build_topology(),
+                   (period, duration, None))
+    BulkEngine(4, config.network_params(), config.build_topology(),
+               config.injection.periodic_profile(4))
+    BulkEngine(4, config.network_params(), config.build_topology(),
+               (0, 0, None))
+
+
+def test_run_round_refuses_once_the_fixpoint_took_over():
+    """The strict pass's slot history is not kept through the arrival
+    fixpoint, so a later round must fail loudly, not read it."""
+    config = _config(4)
+    engine = BulkEngine(4, config.network_params(), config.build_topology(),
+                        None)
+    (rnd,) = engine.prepare(rounds_for("barrier", "dissemination", 4,
+                                       size=0, reduce_cost_per_byte=0)[:1])
+    engine.run_round(rnd)
+    engine._sticky_fixpoint = True
+    with pytest.raises(SimulationError, match="fixpoint"):
+        engine.run_round(rnd)
+
+
 # -- generated differential: DES == bulk --------------------------------------
 _OPS = (("allreduce", "recursive-doubling"), ("allreduce", "two-level"),
         ("allreduce", "two-level-ring"), ("barrier", None),
-        ("barrier", "two-level"), ("bcast", None), ("bcast", "two-level"))
+        ("barrier", "two-level"), ("bcast", None), ("bcast", "two-level"),
+        ("alltoall", None), ("allgather", None))
 _SHAPES = ("1x4x2@fat-tree", "2x4x4@fat-tree", "1x8x4@fat-tree")
 _PATTERNS = (None, "2.5pct@10Hz", "2.5pct@100Hz", "2.5pct@1000Hz")
 

@@ -74,6 +74,56 @@ def test_async001_applies_in_sim_scope_too():
                                   scope="sim")
 
 
+def test_async001_flags_blocking_future_waits():
+    """The mutation-table plant: a pool future waited on in place of
+    ``await asyncio.wrap_future(fut)`` stalls the loop."""
+    src = """
+        async def simulate(pool, cfg):
+            fut = pool.submit(run, cfg)
+            run = fut.result()
+            err = fut.exception(timeout=1)
+            return run, err
+    """
+    found = findings(src)
+    assert [f.rule for f in found] == ["ASYNC001"] * 2
+    assert "wrap_future" in found[0].message
+
+
+def test_async001_silent_on_a_future_read_under_its_done_check():
+    src = """
+        import asyncio
+
+        async def simulate(hop, i):
+            fut = (await hop)[i]
+            if fut.done():
+                run = fut.result()
+            else:
+                run = await asyncio.wrap_future(fut)
+            if fut.done() and not fut.cancelled():
+                fut.exception()
+            return run
+
+        def sync_reader(fut):
+            return fut.result()  # fine: not a coroutine
+    """
+    assert rule_ids(src) == []
+
+
+def test_async001_done_check_must_guard_the_same_future_on_its_true_branch():
+    src = """
+        async def simulate(a, b):
+            if a.done():
+                b.result()
+            if a.done():
+                pass
+            else:
+                a.result()
+            if not a.done():
+                a.result()
+    """
+    assert rule_ids(src) == ["ASYNC001"] * 3
+
+
 # -- ASYNC002: coroutine never awaited --------------------------------------
 
 def test_async002_flags_bare_coroutine_calls():
